@@ -40,6 +40,7 @@ from .metrics import (
     recall_at_k,
 )
 from .similarity import (
+    BitMatrix,
     DiseaseSimilarityBuilder,
     DrugSimilarityBuilder,
     cosine,
@@ -86,6 +87,7 @@ __all__ = [
     "holdout_mask",
     "precision_at_k",
     "recall_at_k",
+    "BitMatrix",
     "DiseaseSimilarityBuilder",
     "DrugSimilarityBuilder",
     "cosine",

@@ -9,6 +9,12 @@ determine similarity in side effects."
 Disease similarities mirror the paper's three sources: phenotype,
 ontology, and disease genes.  Builders assemble full similarity matrices
 from the knowledge bases, which JMF consumes.
+
+Every Tanimoto and Jaccard matrix (chemical, target, side effect, disease
+gene) comes from one bit-matrix kernel, :class:`BitMatrix`, which both
+the builders' full builds and the streaming row patches use.  The scalar
+:func:`tanimoto` and :func:`jaccard` are the reference it is tested
+against, entry for entry and bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from ..knowledge.synthetic import BioUniverse
 
 
 def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
-    """Tanimoto coefficient between two binary fingerprints."""
+    """Tanimoto coefficient between two binary fingerprints (the scalar
+    reference for :class:`BitMatrix`)."""
     a_bits = a.astype(bool)
     b_bits = b.astype(bool)
     union = np.logical_or(a_bits, b_bits).sum()
@@ -32,7 +39,8 @@ def tanimoto(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def jaccard(a: Set, b: Set) -> float:
-    """Jaccard index between two sets."""
+    """Jaccard index between two sets (the scalar reference for
+    :class:`BitMatrix`)."""
     if not a and not b:
         return 0.0
     return len(a & b) / len(a | b)
@@ -67,7 +75,11 @@ def ontology_path_similarity(a: Sequence[str], b: Sequence[str]) -> float:
 
 
 def _pairwise(items: Sequence, fn) -> np.ndarray:
-    """Symmetric similarity matrix with unit diagonal."""
+    """Symmetric similarity matrix with unit diagonal, one call per pair.
+
+    Builds the ontology matrix; for Tanimoto and Jaccard it is the
+    reference :class:`BitMatrix` is tested against.
+    """
     n = len(items)
     matrix = np.eye(n)
     for i in range(n):
@@ -75,6 +87,99 @@ def _pairwise(items: Sequence, fn) -> np.ndarray:
             value = fn(items[i], items[j])
             matrix[i, j] = matrix[j, i] = value
     return matrix
+
+
+def _ratio(inter: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """``inter / union``, and 0.0 where the union is empty, as the scalar
+    :func:`tanimoto` and :func:`jaccard` return for two empty inputs."""
+    return np.divide(inter, union, out=np.zeros_like(inter),
+                     where=union > 0)
+
+
+class BitMatrix:
+    """The Tanimoto/Jaccard kernel: one row of bits per entity.
+
+    A fingerprint becomes the row ``fp != 0``, the bits :func:`tanimoto`
+    keeps after ``astype(bool)``.  A set becomes a row over a vocabulary
+    that gives each term its own column; a term not seen before gets a
+    new column.  Bits are stored as 0.0/1.0 in float64 so the counts run
+    through BLAS: each count is a sum of 0/1 products no larger than the
+    row width, which float64 holds exactly in any summation order.  The
+    value ``inter / union`` of two exact counts is the same correctly
+    rounded quotient the scalar functions compute, so every entry equals
+    theirs bit for bit.
+    """
+
+    def __init__(self, bits: np.ndarray,
+                 vocabulary: Optional[Dict] = None) -> None:
+        self.bits = bits
+        self._vocabulary = vocabulary
+        self._counts = bits.sum(axis=1)
+
+    @classmethod
+    def of_fingerprints(cls, prints: Sequence[np.ndarray]) -> "BitMatrix":
+        rows = [np.asarray(p) != 0 for p in prints]
+        return cls(np.array(rows, dtype=float) if rows else np.zeros((0, 0)))
+
+    @classmethod
+    def of_sets(cls, sets: Sequence[Set]) -> "BitMatrix":
+        vocabulary: Dict = {}
+        for terms in sets:
+            for term in terms:
+                vocabulary.setdefault(term, len(vocabulary))
+        bits = np.zeros((len(sets), len(vocabulary)))
+        for i, terms in enumerate(sets):
+            bits[i, [vocabulary[t] for t in terms]] = 1.0
+        return cls(bits, vocabulary)
+
+    def __len__(self) -> int:
+        return self.bits.shape[0]
+
+    def _encode(self, features) -> np.ndarray:
+        """The row for ``features``; terms not seen before first get a
+        vocabulary entry and a zero column each."""
+        if self._vocabulary is None:
+            return (np.asarray(features) != 0).astype(float)
+        vocabulary = self._vocabulary
+        for term in features:
+            vocabulary.setdefault(term, len(vocabulary))
+        new_columns = len(vocabulary) - self.bits.shape[1]
+        if new_columns:
+            self.bits = np.hstack([self.bits,
+                                   np.zeros((len(self), new_columns))])
+        row = np.zeros(len(vocabulary))
+        row[[vocabulary[t] for t in features]] = 1.0
+        return row
+
+    def set_row(self, index: int, features) -> None:
+        """Re-encode entity ``index`` from its fingerprint or set."""
+        row = self._encode(features)
+        self.bits[index] = row
+        self._counts[index] = row.sum()
+
+    def append(self, features) -> int:
+        """Add a row for a new entity; returns its index."""
+        row = self._encode(features)
+        # An empty fingerprint matrix is 0x0 until a row gives it a width.
+        self.bits = np.vstack([self.bits.reshape(len(self), row.size),
+                               row[None, :]])
+        self._counts = np.append(self._counts, row.sum())
+        return len(self) - 1
+
+    def row(self, index: int) -> np.ndarray:
+        """Similarity of entity ``index`` to every entity (O(n) counts)."""
+        inter = self.bits @ self.bits[index]
+        values = _ratio(inter, self._counts + self._counts[index] - inter)
+        values[index] = 1.0
+        return values
+
+    def matrix(self) -> np.ndarray:
+        """The full similarity matrix, with unit diagonal."""
+        inter = self.bits @ self.bits.T
+        counts = self._counts
+        similarity = _ratio(inter, counts[:, None] + counts - inter)
+        np.fill_diagonal(similarity, 1.0)
+        return similarity
 
 
 class _CachedSourceMixin:
@@ -141,29 +246,29 @@ class DrugSimilarityBuilder(_CachedSourceMixin):
         self.invalidate()
         return len(self._drug_ids) - 1
 
+    def bit_matrix(self, source: str) -> BitMatrix:
+        """The bits behind one source, encoded from the knowledge bases."""
+        if source == "chemical":
+            return BitMatrix.of_fingerprints(
+                [self.pubchem.fingerprint(d) for d in self._drug_ids])
+        read = {"target": self.drugbank.targets,
+                "side_effect": self.sider.side_effects}[source]
+        return BitMatrix.of_sets([read(d) for d in self._drug_ids])
+
     def chemical(self) -> np.ndarray:
         """Tanimoto over PubChem fingerprints."""
-        return self._built("chemical", self._build_chemical)
-
-    def _build_chemical(self) -> np.ndarray:
-        prints = [self.pubchem.fingerprint(d) for d in self._drug_ids]
-        return _pairwise(prints, tanimoto)
+        return self._built("chemical",
+                           lambda: self.bit_matrix("chemical").matrix())
 
     def target(self) -> np.ndarray:
         """Jaccard over DrugBank target sets."""
-        return self._built("target", self._build_target)
-
-    def _build_target(self) -> np.ndarray:
-        targets = [self.drugbank.targets(d) for d in self._drug_ids]
-        return _pairwise(targets, jaccard)
+        return self._built("target",
+                           lambda: self.bit_matrix("target").matrix())
 
     def side_effect(self) -> np.ndarray:
         """Jaccard over SIDER side-effect sets."""
-        return self._built("side_effect", self._build_side_effect)
-
-    def _build_side_effect(self) -> np.ndarray:
-        effects = [self.sider.side_effects(d) for d in self._drug_ids]
-        return _pairwise(effects, jaccard)
+        return self._built("side_effect",
+                           lambda: self.bit_matrix("side_effect").matrix())
 
     def all_sources(self) -> Dict[str, np.ndarray]:
         return {"chemical": self.chemical(), "target": self.target(),
@@ -216,14 +321,15 @@ class DiseaseSimilarityBuilder(_CachedSourceMixin):
         paths = [self.disgenet.ontology_path(d) for d in self._disease_ids]
         return _pairwise(paths, ontology_path_similarity)
 
+    def bit_matrix(self, source: str) -> BitMatrix:
+        """The bits behind ``disease_gene``, encoded from DisGeNet."""
+        read = {"disease_gene": self.disgenet.genes_for_disease}[source]
+        return BitMatrix.of_sets([read(d) for d in self._disease_ids])
+
     def disease_gene(self) -> np.ndarray:
         """Jaccard over DisGeNet gene sets."""
-        return self._built("disease_gene", self._build_disease_gene)
-
-    def _build_disease_gene(self) -> np.ndarray:
-        genes = [self.disgenet.genes_for_disease(d)
-                 for d in self._disease_ids]
-        return _pairwise(genes, jaccard)
+        return self._built("disease_gene",
+                           lambda: self.bit_matrix("disease_gene").matrix())
 
     def all_sources(self) -> Dict[str, np.ndarray]:
         return {"phenotype": self.phenotype(), "ontology": self.ontology(),

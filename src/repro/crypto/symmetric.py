@@ -51,13 +51,15 @@ def generate_key(rng_seed: Optional[int] = None) -> bytes:
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    stream = b""
-    counter = 0
-    while len(stream) < length:
-        stream += hmac.new(key, nonce + struct.pack(">q", counter),
-                           hashlib.sha256).digest()
-        counter += 1
-    return stream[:length]
+    """Block i is HMAC(key, nonce || i); the key and nonce are absorbed once
+    and each block continues from a copy of that state."""
+    keyed = hmac.new(key, nonce, hashlib.sha256)
+    blocks = []
+    for counter in range((length + _BLOCK - 1) // _BLOCK):
+        block = keyed.copy()
+        block.update(struct.pack(">q", counter))
+        blocks.append(block.digest())
+    return b"".join(blocks)[:length]
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -65,7 +67,8 @@ def _xor(data: bytes, stream: bytes) -> bytes:
         raise IntegrityError(
             f"keystream length {len(stream)} does not match "
             f"data length {len(data)}")
-    return bytes(a ^ b for a, b in zip(data, stream))
+    mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
+    return mixed.to_bytes(len(data), "big")
 
 
 @dataclass(frozen=True)

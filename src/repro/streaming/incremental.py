@@ -15,10 +15,14 @@ exactly that:
 * :class:`IncrementalSimilarityEngine` — row-wise updates to all six
   similarity matrices.  Mutations write through to the knowledge bases,
   so a from-scratch builder rebuild over the same KBs is the ground
-  truth the property tests compare against (atol 1e-9).  Updated
-  matrices are primed into the builders' caches, and touched entities
-  land in a dirty set whose :meth:`refresh_job` re-enqueues only the
-  affected downstream rows through the PR 8 compute scheduler;
+  truth the property tests compare against (bit for bit for the four
+  Tanimoto/Jaccard sources, atol 1e-9 otherwise).  The engine keeps
+  one :class:`~repro.analytics.similarity.BitMatrix` per Tanimoto/Jaccard
+  source and rewrites only the changed entity's bits, so a row patch
+  never re-reads the other entities' features.  Updated matrices are
+  primed into the builders' caches, and touched entities land in a dirty
+  set whose :meth:`refresh_job` re-enqueues only the affected downstream
+  rows through the :mod:`repro.compute` scheduler;
 * :class:`StreamingAnalytics` — the per-event dispatch facade the
   pipeline calls, returning each update's simulated cost.
 
@@ -29,7 +33,10 @@ simulated time; a baseline/sketch update costs
 adaptive (median pairwise distance), so the engine maintains the full
 distance matrix incrementally — a row of distances is O(n) feature work —
 and re-applies the shared vectorised kernel, which costs no pair
-evaluations.
+evaluations.  The bit-matrix kernel computes a Tanimoto/Jaccard row in
+one vectorised pass, but the row is still charged its n-1 pair
+evaluations, so simulated time does not depend on how fast the host
+computes it.
 """
 
 from __future__ import annotations
@@ -40,9 +47,9 @@ import numpy as np
 
 from ..analytics.baselines import combined_similarity
 from ..analytics.similarity import (DiseaseSimilarityBuilder,
-                                    DrugSimilarityBuilder, jaccard,
+                                    DrugSimilarityBuilder,
                                     ontology_path_similarity,
-                                    phenotype_kernel, tanimoto)
+                                    phenotype_kernel)
 from ..cloudsim.healthplane.accounting import SpaceSavingSketch
 from ..compute.graph import TaskGraph
 
@@ -51,6 +58,7 @@ BASELINE_UPDATE_COST_S = 2e-6   # one Welford / sketch update
 
 DRUG_SOURCES = ("chemical", "target", "side_effect")
 DISEASE_SOURCES = ("phenotype", "ontology", "disease_gene")
+BIT_SOURCES = ("chemical", "target", "side_effect", "disease_gene")
 
 
 class RunningMoments:
@@ -145,6 +153,8 @@ class IncrementalSimilarityEngine:
         self.matrices: Dict[str, np.ndarray] = {}
         self.matrices.update(drug_builder.all_sources())
         self.matrices.update(disease_builder.all_sources())
+        self._bits = {source: self._builder_for(source).bit_matrix(source)
+                      for source in BIT_SOURCES}
         # Phenotype bandwidth is global (median pairwise distance), so the
         # distance matrix itself is the incrementally maintained state.
         profiles = np.stack([disease_builder.disgenet.phenotype(d)
@@ -182,21 +192,17 @@ class IncrementalSimilarityEngine:
 
         Returns the pair evaluations spent (n-1 per touched source).
         """
-        ids = self.drugs.drug_ids
-        index = ids.index(drug_id)
+        index = self.drugs.drug_ids.index(drug_id)
         spent = 0
         if fingerprint is not None:
             self.drugs.pubchem.set_fingerprint(drug_id, fingerprint)
-            prints = [self.drugs.pubchem.fingerprint(d) for d in ids]
-            spent += self._patch_row("chemical", index, prints, tanimoto)
+            spent += self._patch_bits("chemical", index, fingerprint)
         if targets is not None:
             self.drugs.drugbank.set_targets(drug_id, targets)
-            target_sets = [self.drugs.drugbank.targets(d) for d in ids]
-            spent += self._patch_row("target", index, target_sets, jaccard)
+            spent += self._patch_bits("target", index, targets)
         if side_effects is not None:
             self.drugs.sider.set_side_effects(drug_id, side_effects)
-            effects = [self.drugs.sider.side_effects(d) for d in ids]
-            spent += self._patch_row("side_effect", index, effects, jaccard)
+            spent += self._patch_bits("side_effect", index, side_effects)
         if spent:
             self.updates += 1
             self.dirty_drugs.add(drug_id)
@@ -205,18 +211,15 @@ class IncrementalSimilarityEngine:
     def add_drug(self, drug_id: str, *, fingerprint: np.ndarray,
                  targets: Set[str], side_effects: Set[str]) -> int:
         """Insert a brand-new drug: grow each matrix by one row/column."""
+        # Registering the id first rejects a duplicate before any write.
+        index = self.drugs.add_drug_id(drug_id)   # invalidates builder cache
         self.drugs.pubchem.set_fingerprint(drug_id, fingerprint)
         self.drugs.drugbank.set_targets(drug_id, targets)
         self.drugs.sider.set_side_effects(drug_id, side_effects)
-        index = self.drugs.add_drug_id(drug_id)   # invalidates builder cache
-        ids = self.drugs.drug_ids
-        spent = 0
-        prints = [self.drugs.pubchem.fingerprint(d) for d in ids]
-        spent += self._grow_then_patch("chemical", index, prints, tanimoto)
-        target_sets = [self.drugs.drugbank.targets(d) for d in ids]
-        spent += self._grow_then_patch("target", index, target_sets, jaccard)
-        effects = [self.drugs.sider.side_effects(d) for d in ids]
-        spent += self._grow_then_patch("side_effect", index, effects, jaccard)
+        spent = self._patch_bits("chemical", index, fingerprint, grow=True)
+        spent += self._patch_bits("target", index, targets, grow=True)
+        spent += self._patch_bits("side_effect", index, side_effects,
+                                  grow=True)
         self.updates += 1
         self.dirty_drugs.add(drug_id)
         return spent
@@ -242,10 +245,7 @@ class IncrementalSimilarityEngine:
                                      ontology_path_similarity)
         if genes is not None:
             self.diseases.disgenet.set_genes(disease_id, genes)
-            gene_sets = [self.diseases.disgenet.genes_for_disease(d)
-                         for d in ids]
-            spent += self._patch_row("disease_gene", index, gene_sets,
-                                     jaccard)
+            spent += self._patch_bits("disease_gene", index, genes)
         if spent:
             self.updates += 1
             self.dirty_diseases.add(disease_id)
@@ -254,10 +254,11 @@ class IncrementalSimilarityEngine:
     def add_disease(self, disease_id: str, *, phenotype: np.ndarray,
                     ontology_path: Sequence[str], genes: Set[str]) -> int:
         """Insert a brand-new disease: grow each matrix by one row/column."""
+        # Registering the id first rejects a duplicate before any write.
+        index = self.diseases.add_disease_id(disease_id)
         self.diseases.disgenet.set_phenotype(disease_id, phenotype)
         self.diseases.disgenet.set_ontology_path(disease_id, ontology_path)
         self.diseases.disgenet.set_genes(disease_id, genes)
-        index = self.diseases.add_disease_id(disease_id)
         ids = self.diseases.disease_ids
         n = len(ids)
         grown = np.zeros((n, n))
@@ -266,43 +267,53 @@ class IncrementalSimilarityEngine:
         profile = np.asarray(phenotype, dtype=float)
         self._profiles = np.vstack([self._profiles, profile[None, :]])
         spent = self._patch_phenotype(index, grow=True)
+        self._grow("ontology")
         paths = [self.diseases.disgenet.ontology_path(d) for d in ids]
-        spent += self._grow_then_patch("ontology", index, paths,
-                                       ontology_path_similarity)
-        gene_sets = [self.diseases.disgenet.genes_for_disease(d)
-                     for d in ids]
-        spent += self._grow_then_patch("disease_gene", index, gene_sets,
-                                       jaccard)
+        spent += self._patch_row("ontology", index, paths,
+                                 ontology_path_similarity)
+        spent += self._patch_bits("disease_gene", index, genes, grow=True)
         self.updates += 1
         self.dirty_diseases.add(disease_id)
         return spent
 
     # -- row surgery ------------------------------------------------------------
 
-    def _patch_row(self, source: str, index: int, features: List,
-                   fn) -> int:
-        """Recompute row/column ``index`` of one matrix: n-1 pair evals."""
+    def _install_row(self, source: str, index: int, row: np.ndarray) -> int:
+        """Write row/column ``index`` of one matrix: n-1 pair evals."""
         matrix = self.matrices[source]
-        n = len(features)
-        for j in range(n):
-            if j == index:
-                continue
-            value = fn(features[index], features[j])
-            matrix[index, j] = matrix[j, index] = value
-        matrix[index, index] = 1.0
+        matrix[index, :] = row
+        matrix[:, index] = row
+        n = len(row)
         self.pair_evals += n - 1
         self._builder_for(source).prime(source, matrix)
         return n - 1
 
-    def _grow_then_patch(self, source: str, index: int, features: List,
-                         fn) -> int:
-        """Extend a matrix by one row/column, then fill it in."""
+    def _patch_bits(self, source: str, index: int, features,
+                    grow: bool = False) -> int:
+        """Re-encode one entity's bits (a new row when ``grow``), then
+        recompute its row with the bit-matrix kernel."""
+        bits = self._bits[source]
+        if grow:
+            bits.append(features)
+            self._grow(source)
+        else:
+            bits.set_row(index, features)
+        return self._install_row(source, index, bits.row(index))
+
+    def _patch_row(self, source: str, index: int, features: List,
+                   fn) -> int:
+        """Recompute row ``index`` one pair at a time (ontology paths)."""
+        row = np.array([fn(features[index], other) for other in features])
+        row[index] = 1.0
+        return self._install_row(source, index, row)
+
+    def _grow(self, source: str) -> None:
+        """Extend a matrix by one row/column with a unit diagonal."""
         old = self.matrices[source]
-        n = len(features)
+        n = len(old) + 1
         grown = np.eye(n)
         grown[:n - 1, :n - 1] = old
         self.matrices[source] = grown
-        return self._patch_row(source, index, features, fn)
 
     def _patch_phenotype(self, index: int, grow: bool = False) -> int:
         """O(n) distance-row update, then re-apply the shared kernel.

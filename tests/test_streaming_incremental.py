@@ -83,18 +83,17 @@ class TestRowUpdates:
         spent = engine.update_drug(drug_id, fingerprint=fingerprint)
         assert spent == len(engine.drugs.drug_ids) - 1
         reference = _reference(engine, universe)
-        assert np.allclose(engine.matrices["chemical"],
-                           reference["chemical"], atol=1e-9)
+        assert np.array_equal(engine.matrices["chemical"],
+                              reference["chemical"])
 
     def test_drug_sets_update_equivalent(self, engine, universe):
         drug_id = engine.drugs.drug_ids[0]
         engine.update_drug(drug_id, targets={"T001", "T002"},
                            side_effects={"SE001"})
         reference = _reference(engine, universe)
-        assert np.allclose(engine.matrices["target"], reference["target"],
-                           atol=1e-9)
-        assert np.allclose(engine.matrices["side_effect"],
-                           reference["side_effect"], atol=1e-9)
+        assert np.array_equal(engine.matrices["target"], reference["target"])
+        assert np.array_equal(engine.matrices["side_effect"],
+                              reference["side_effect"])
 
     def test_disease_phenotype_update_equivalent(self, engine, universe):
         """Adaptive bandwidth: one row shifts the whole kernel, and the
@@ -116,8 +115,8 @@ class TestRowUpdates:
         reference = _reference(engine, universe)
         assert np.allclose(engine.matrices["ontology"],
                            reference["ontology"], atol=1e-9)
-        assert np.allclose(engine.matrices["disease_gene"],
-                           reference["disease_gene"], atol=1e-9)
+        assert np.array_equal(engine.matrices["disease_gene"],
+                              reference["disease_gene"])
 
     def test_gene_reverse_index_stays_honest(self, engine):
         disgenet = engine.diseases.disgenet
@@ -140,8 +139,8 @@ class TestInserts:
         reference = _reference(engine, universe)
         for source in ("chemical", "target", "side_effect"):
             assert engine.matrices[source].shape == (n + 1, n + 1)
-            assert np.allclose(engine.matrices[source], reference[source],
-                               atol=1e-9), source
+            assert np.array_equal(engine.matrices[source],
+                                  reference[source]), source
 
     def test_add_disease_grows_all_matrices(self, engine, universe):
         n = len(engine.diseases.disease_ids)
@@ -161,6 +160,49 @@ class TestInserts:
         existing = engine.drugs.drug_ids[0]
         with pytest.raises(ValueError):
             engine.drugs.add_drug_id(existing)
+
+    def test_rejected_add_drug_writes_nothing(self, engine, universe):
+        """A duplicate id is rejected before the knowledge bases change,
+        so the matrices and primed caches still equal a rebuild."""
+        existing = engine.drugs.drug_ids[0]
+        fingerprint = np.array(engine.drugs.pubchem.fingerprint(existing))
+        targets = engine.drugs.drugbank.targets(existing)
+        effects = engine.drugs.sider.side_effects(existing)
+        with pytest.raises(ValueError):
+            engine.add_drug(existing, fingerprint=1 - fingerprint,
+                            targets={"T-REJECTED"},
+                            side_effects={"SE-REJECTED"})
+        assert np.array_equal(engine.drugs.pubchem.fingerprint(existing),
+                              fingerprint)
+        assert engine.drugs.drugbank.targets(existing) == targets
+        assert engine.drugs.sider.side_effects(existing) == effects
+        reference = _reference(engine, universe)
+        for source in ("chemical", "target", "side_effect"):
+            assert np.array_equal(engine.matrices[source],
+                                  reference[source]), source
+            assert engine.drugs.all_sources()[source] is (
+                engine.matrices[source])
+
+    def test_rejected_add_disease_writes_nothing(self, engine, universe):
+        disgenet = engine.diseases.disgenet
+        existing = engine.diseases.disease_ids[0]
+        phenotype = np.array(disgenet.phenotype(existing))
+        path = disgenet.ontology_path(existing)
+        genes = disgenet.genes_for_disease(existing)
+        with pytest.raises(ValueError):
+            engine.add_disease(existing, phenotype=phenotype + 1.0,
+                               ontology_path=("root", "rejected"),
+                               genes={"G-REJECTED"})
+        assert np.array_equal(disgenet.phenotype(existing), phenotype)
+        assert disgenet.ontology_path(existing) == path
+        assert disgenet.genes_for_disease(existing) == genes
+        assert disgenet.diseases_for_gene("G-REJECTED") == set()
+        reference = _reference(engine, universe)
+        for source in ("phenotype", "ontology", "disease_gene"):
+            assert np.array_equal(engine.matrices[source],
+                                  reference[source]), source
+            assert engine.diseases.all_sources()[source] is (
+                engine.matrices[source])
 
 
 class TestBuilderCache:

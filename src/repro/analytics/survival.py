@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from ..core.errors import ConfigurationError
 
@@ -146,6 +145,9 @@ def log_rank_test(durations_a: Sequence[float], observed_a: Sequence[bool],
     if variance <= 0:
         return LogRankResult(0.0, 1.0, observed_events_a, expected_events_a)
     chi_square = (observed_events_a - expected_events_a) ** 2 / variance
+    # Imported here, not at module level: scipy.stats is most of the import
+    # time of ``repro``, and only this function needs it.
+    from scipy import stats
     p_value = float(stats.chi2.sf(chi_square, df=1))
     return LogRankResult(chi_square, p_value, observed_events_a,
                          expected_events_a)

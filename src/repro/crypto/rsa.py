@@ -14,33 +14,48 @@ asymptotics (modexp-dominated) match production RSA.
 from __future__ import annotations
 
 import hashlib
+import math
 import secrets
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import IntegrityError
 from .symmetric import Ciphertext, SharedKeyCipher, generate_key
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97]
+_MR_ROUNDS = 24
 
 
-def _is_probable_prime(n: int, rounds: int = 24,
-                       randbelow=secrets.randbelow) -> bool:
-    """Miller–Rabin primality test."""
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
+def _sieve_product(low: int, high: int) -> int:
+    """Product of the primes in ``[low, high]`` (sieve of Eratosthenes)."""
+    flags = bytearray([1]) * (high + 1)
+    flags[:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(high) + 1):
+        if flags[i]:
+            flags[i * i::i] = bytes(len(range(i * i, high + 1, i)))
+    return math.prod(i for i in range(low, high + 1) if flags[i])
+
+
+# One gcd against this ~23 kbit product rejects a prime candidate with a
+# factor in 101..16381 for ~50 us, where a Miller-Rabin round costs one
+# full-size ``pow`` (~1 ms for a 512-bit candidate).
+_SIEVE_PRODUCT = _sieve_product(101, 16381)
+
+
+def _passes_miller_rabin(n: int, bases: Iterable[int]) -> bool:
+    """Run one Miller-Rabin round per base on odd ``n``; False on a witness.
+
+    ``bases`` is consumed lazily, so a generator that draws each base from
+    a random source draws no base after the first witness.
+    """
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
-        a = 2 + randbelow(n - 3)
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -51,6 +66,18 @@ def _is_probable_prime(n: int, rounds: int = 24,
         else:
             return False
     return True
+
+
+def _is_probable_prime(n: int, rounds: int = _MR_ROUNDS,
+                       randbelow=secrets.randbelow) -> bool:
+    """Miller–Rabin primality test."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    return _passes_miller_rabin(n, (2 + randbelow(n - 3)
+                                    for _ in range(rounds)))
 
 
 class _DeterministicRand:
@@ -73,11 +100,26 @@ class _DeterministicRand:
         return int.from_bytes(out[:nbytes], "big") >> (nbytes * 8 - k)
 
 
-def _random_prime(bits: int, rand) -> int:
+def _prime_candidate(bits: int, rand) -> Tuple[int, List[int]]:
+    """The next ``bits``-bit candidate that passes Miller–Rabin round 1.
+
+    Takes from ``rand`` what ``_is_probable_prime`` would take for the
+    same candidates, as long as no composite passes a round: nothing for
+    one that trial division rejects, one base for one that the sieve or
+    round 1 rejects, and all 24 bases for the one returned.  The sieve (a
+    gcd with the primes 101..16381) only skips round 1's ``pow``, after
+    the base is drawn.  The bases of rounds 2..24 come back unused, for
+    the caller to run once the candidate's pair makes a key.
+    """
     while True:
-        candidate = rand.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if _is_probable_prime(candidate, randbelow=rand.randbelow):
-            return candidate
+        n = rand.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if any(n % p == 0 for p in _SMALL_PRIMES):
+            continue
+        first = 2 + rand.randbelow(n - 3)
+        if (math.gcd(n, _SIEVE_PRODUCT) == 1
+                and _passes_miller_rabin(n, (first,))):
+            return n, [2 + rand.randbelow(n - 3)
+                       for _ in range(_MR_ROUNDS - 1)]
 
 
 @dataclass(frozen=True)
@@ -169,11 +211,13 @@ def _seeded_keypair(bits: int, seed: int) -> RsaPrivateKey:
 def _generate_keypair(bits: int, seed: Optional[int]) -> RsaPrivateKey:
     if bits < 256:
         raise ValueError("modulus too small to hold padded payloads")
+    if bits % 2:
+        raise ValueError("modulus size must be even: each prime has bits // 2")
     rand = _DeterministicRand(seed) if seed is not None else _SecretsRand()
     e = 65537
     while True:
-        p = _random_prime(bits // 2, rand)
-        q = _random_prime(bits // 2, rand)
+        p, p_bases = _prime_candidate(bits // 2, rand)
+        q, q_bases = _prime_candidate(bits // 2, rand)
         if p == q:
             continue
         phi = (p - 1) * (q - 1)
@@ -181,6 +225,11 @@ def _generate_keypair(bits: int, seed: Optional[int]) -> RsaPrivateKey:
             continue
         n = p * q
         if n.bit_length() < bits:
+            continue
+        # Rounds 2..24 run only for a pair that makes a key; a witness
+        # (a composite that passed round 1) discards the pair.
+        if not (_passes_miller_rabin(p, p_bases)
+                and _passes_miller_rabin(q, q_bases)):
             continue
         d = pow(e, -1, phi)
         return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)

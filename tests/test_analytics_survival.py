@@ -1,8 +1,14 @@
 """Tests for the survival-analysis toolkit (Kaplan-Meier, log-rank)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analytics.survival import (
     KaplanMeier,
     generate_survival_cohort,
@@ -102,6 +108,17 @@ class TestLogRank:
     def test_empty_group_rejected(self):
         with pytest.raises(ConfigurationError):
             log_rank_test([], [], [1.0], [True])
+
+    def test_import_repro_leaves_scipy_stats_unloaded(self):
+        # log_rank_test imports scipy.stats when first called; nothing
+        # else needs it, so importing the platform must not load it.
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro; print('scipy.stats' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": source_root},
+            capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
 
 
 class TestSurvivalCohort:

@@ -1,9 +1,14 @@
 """Tests for the from-scratch RSA and hybrid envelope encryption."""
 
+import math
+
 import pytest
 
+from repro.blockchain.identity import MembershipServiceProvider
 from repro.core.errors import IntegrityError
+from repro.crypto import rsa
 from repro.crypto.rsa import (
+    _DeterministicRand,
     _is_probable_prime,
     generate_keypair,
     hybrid_decrypt,
@@ -49,10 +54,136 @@ class TestKeygen:
         with pytest.raises(ValueError):
             generate_keypair(bits=128)
 
+    def test_odd_size_rejected(self):
+        # Both primes get bits // 2 bits, so an odd-sized modulus is never
+        # reached; the search used to retry forever.
+        with pytest.raises(ValueError):
+            generate_keypair(bits=257, seed=1)
+        with pytest.raises(ValueError):
+            generate_keypair(bits=1025)
+
+    def test_unseeded_key_signs_and_verifies(self):
+        key = generate_keypair(bits=512)
+        assert key.n.bit_length() == 512
+        assert _is_probable_prime(key.p) and _is_probable_prime(key.q)
+        signature = rsa_sign(key, b"unseeded")
+        assert rsa_verify(key.public_key(), b"unseeded", signature)
+
     def test_fingerprint_stable(self):
         key = generate_keypair(bits=512, seed=5).public_key()
         assert key.fingerprint() == key.fingerprint()
         assert len(key.fingerprint()) == 24
+
+
+def _oracle_random_prime(bits, rand):
+    while True:
+        candidate = rand.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if _is_probable_prime(candidate, randbelow=rand.randbelow):
+            return candidate
+
+
+def _oracle_keypair(bits, seed):
+    """The search without sieve or deferred rounds, as ``(n, e, d, p, q)``.
+
+    Every candidate runs its Miller-Rabin rounds as soon as it is drawn, so
+    this is the reference the faster search must match key for key.
+    """
+    rand = _DeterministicRand(seed)
+    e = 65537
+    while True:
+        p = _oracle_random_prime(bits // 2, rand)
+        q = _oracle_random_prime(bits // 2, rand)
+        if p == q:
+            continue
+        phi = (p - 1) * (q - 1)
+        if phi % e == 0:
+            continue
+        n = p * q
+        if n.bit_length() < bits:
+            continue
+        d = pow(e, -1, phi)
+        return (n, e, d, p, q)
+
+
+class TestSearchOracle:
+    @pytest.mark.parametrize("bits", [256, 384, 512])
+    def test_matches_plain_search(self, bits):
+        for seed in range(150):
+            # The unmemoized search: 450 keys would evict the memoized
+            # ones the rest of the suite shares.
+            key = rsa._generate_keypair(bits, seed)
+            assert (key.n, key.e, key.d, key.p, key.q) == \
+                _oracle_keypair(bits, seed), seed
+            assert _is_probable_prime(key.p) and _is_probable_prime(key.q)
+
+    def test_matches_plain_search_on_msp_seeds(self):
+        # sharded_channel(shard, seed=1) seeds its MSP with
+        # 1 * 7919 + shard + 1, whose n-th enrolment draws its key from
+        # msp_seed * 65537 + n.
+        for shard in (0, 1):
+            msp_seed = 1 * 7919 + shard + 1
+            msp = MembershipServiceProvider(seed=msp_seed)
+            for counter in (1, 2, 3):
+                enrolled = msp.enroll(f"member-{counter}", "org")
+                key = generate_keypair(bits=1024,
+                                       seed=msp_seed * 65_537 + counter)
+                assert enrolled.public_key == key.public_key()
+                assert (key.n, key.e, key.d, key.p, key.q) == \
+                    _oracle_keypair(1024, msp_seed * 65_537 + counter)
+                assert (_is_probable_prime(key.p)
+                        and _is_probable_prime(key.q))
+
+
+class _ScriptedRand:
+    """Hands out scripted draws first, then those of a seeded stream."""
+
+    def __init__(self, seed, bits, below):
+        self._rest = _DeterministicRand(seed)
+        self._bits = list(bits)
+        self._below = list(below)
+
+    def getrandbits(self, k):
+        return self._bits.pop(0) if self._bits else self._rest.getrandbits(k)
+
+    def randbelow(self, n):
+        return self._below.pop(0) if self._below else self._rest.randbelow(n)
+
+
+class TestDeferredRounds:
+    # FACTOR is 3 mod 4 and both FACTOR and 2 * FACTOR - 1 are prime, so
+    # their 128-bit product is a strong pseudoprime to about a quarter of
+    # all bases; both factors lie above the sieve's 16381.
+    FACTOR = 0xB333333333333B7B
+
+    def test_composite_passing_round_one_is_never_returned(self,
+                                                            monkeypatch):
+        small, large = self.FACTOR, 2 * self.FACTOR - 1
+        composite = small * large
+        assert composite.bit_length() == 128
+        assert _is_probable_prime(small) and _is_probable_prime(large)
+        assert math.gcd(composite, rsa._SIEVE_PRODUCT) == 1
+        liar = next(a for a in range(2, 100)
+                    if rsa._passes_miller_rabin(composite, (a,)))
+        # The first candidate of a 256-bit search is the composite, and
+        # its round-1 base is a strong liar.
+        scripted = _ScriptedRand(seed=0, bits=[composite], below=[liar - 2])
+        monkeypatch.setattr(rsa, "_DeterministicRand", lambda seed: scripted)
+        witnessed = []
+        passes = rsa._passes_miller_rabin
+
+        def spy(n, bases):
+            verdict = passes(n, bases)
+            if not verdict:
+                witnessed.append(n)
+            return verdict
+
+        monkeypatch.setattr(rsa, "_passes_miller_rabin", spy)
+        key = rsa._generate_keypair(256, 0)
+        # It passed round 1 and the pair checks, then a deferred round
+        # found a witness.
+        assert composite in witnessed
+        assert not {composite, small, large} & {key.n, key.p, key.q}
+        assert _is_probable_prime(key.p) and _is_probable_prime(key.q)
 
 
 class TestEncryption:

@@ -9,40 +9,56 @@ drug-disease associations, then compare JMF against the cited baselines
 and print the per-method scores, learned source weights, and the top
 novel repositioning hypotheses.
 
-This example still runs the fits inline through the deprecated
-:mod:`repro.compute.shims` wrappers — each call emits a
-``DeprecationWarning`` pointing at the ``/v1/compute`` submission path
-(see ``examples/rwe_delt.py`` for the migrated, gateway-submitted shape).
+The similarity builds and the JMF fit run as one
+:class:`~repro.compute.TaskGraph` job on the compute scheduler, placed on
+attested worker VMs (``examples/rwe_delt.py`` submits its graph through
+the ``/v1/compute`` gateway routes instead).
 
 Run:  python examples/drug_repositioning.py
 """
 
-import warnings
-
 import numpy as np
 
 from repro.analytics import (
+    DiseaseSimilarityBuilder,
+    DrugSimilarityBuilder,
     GuiltByAssociation,
+    JointMatrixFactorization,
     PlainMatrixFactorization,
     SideEffectKnn,
     evaluate_masked,
     holdout_mask,
 )
-from repro.compute import shims
+from repro.compute import TaskGraph, standard_scheduler
 from repro.knowledge import generate_universe
+
+
+def build_graph(universe, training) -> TaskGraph:
+    """Both sides' similarity sources, then JMF over all six of them."""
+    graph = TaskGraph("drug-repositioning")
+    graph.add_data("universe", universe)
+    graph.add_data("training", training)
+    graph.add_task(
+        "drug-sources", lambda ins: DrugSimilarityBuilder(
+            ins["universe"]).all_sources(),
+        inputs=("universe",), cost_s=0.150, output_bytes=240_000)
+    graph.add_task(
+        "disease-sources", lambda ins: DiseaseSimilarityBuilder(
+            ins["universe"]).all_sources(),
+        inputs=("universe",), cost_s=0.100, output_bytes=120_000)
+    graph.add_task(
+        "jmf", lambda ins: JointMatrixFactorization(
+            rank=10, alpha=0.5, seed=1).fit(
+            ins["training"], ins["drug-sources"], ins["disease-sources"]),
+        inputs=("training", "drug-sources", "disease-sources"),
+        cost_s=0.600, output_bytes=64_000)
+    return graph
 
 
 def main() -> None:
     print("generating synthetic biomedical universe "
           "(stand-in for PubChem/DrugBank/SIDER/DisGeNet)...")
     universe = generate_universe(n_drugs=100, n_diseases=70, seed=2024)
-
-    # The inline shims are deprecated in favour of /v1/compute job
-    # submission; surface the warning once so readers see the nudge.
-    with warnings.catch_warnings():
-        warnings.simplefilter("once", DeprecationWarning)
-        drug_sources = shims.run_similarity(universe, side="drug")
-        disease_sources = shims.run_similarity(universe, side="disease")
     print(f"  {len(universe.drugs)} drugs, {len(universe.diseases)} "
           f"diseases, association density "
           f"{universe.association_matrix.mean():.1%}")
@@ -51,10 +67,13 @@ def main() -> None:
     training, heldout = holdout_mask(universe.association_matrix, 0.2, rng)
 
     print("\nfitting JMF (rank 10, three drug + three disease sources)...")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        jmf = shims.run_jmf(training, drug_sources, disease_sources,
-                            rank=10, alpha=0.5, seed=1)
+    scheduler = standard_scheduler()
+    job = scheduler.submit(build_graph(universe, training))
+    scheduler.run(job.job_id)
+    print(f"  job {job.job_id}: {job.state.value} "
+          f"(makespan {job.makespan_s:.3f}s simulated)")
+    drug_sources = scheduler.result(job.job_id, key="drug-sources")
+    jmf = scheduler.result(job.job_id, key="jmf")
 
     candidates = {
         "JMF (this platform)": jmf.scores(),

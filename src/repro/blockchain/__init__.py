@@ -35,6 +35,7 @@ from .network import (
     EndorsementPolicy,
     OrderingService,
     Peer,
+    standard_network,
 )
 from .sharding import (
     CrossShardCoordinator,
@@ -74,6 +75,7 @@ __all__ = [
     "EndorsementPolicy",
     "OrderingService",
     "Peer",
+    "standard_network",
     "CrossShardContract",
     "CrossShardCoordinator",
     "CrossShardTxn",
@@ -84,38 +86,3 @@ __all__ = [
     "pipeline_makespan",
     "sharded_channel",
 ]
-
-
-def standard_network(seed: int = 0, batch_size: int = 10,
-                     policy: "EndorsementPolicy" = None,
-                     clock=None, monitoring=None) -> BlockchainNetwork:
-    """Build the reference HCLS network of Fig. 6.
-
-    Parties: sender org, healthcare provider, data-protection service, and
-    audit service — each contributing one endorsing peer with all four
-    contracts installed.
-    """
-    msp = MembershipServiceProvider(seed=seed)
-    network = BlockchainNetwork(
-        msp,
-        policy=policy if policy is not None else EndorsementPolicy(2, 2),
-        batch_size=batch_size,
-        clock=clock,
-        monitoring=monitoring,
-    )
-    contracts = {
-        "provenance": ProvenanceContract(),
-        "consent": ConsentContract(),
-        "malware": MalwareContract(),
-        "privacy": PrivacyContract(),
-        "study": StudyContract(),
-    }
-    organizations = ["sender-org", "provider-org", "data-protection-org",
-                     "audit-org"]
-    for org in organizations:
-        peer_id = f"peer.{org}"
-        msp.enroll(peer_id, org, roles={"peer"})
-        network.add_peer(Peer(peer_id, org, msp, contracts))
-    msp.enroll("ingestion-service", "provider-org", roles={"client"})
-    msp.enroll("auditor", "audit-org", roles={"auditor"})
-    return network

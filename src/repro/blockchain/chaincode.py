@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.errors import LedgerError, StudyError, ValidationError
-from ..crypto.merkle import MerkleTree
+from ..crypto.merkle import IncrementalMerkleTree, MerkleTree
 
 
 def provenance_event_leaf(event: Dict[str, Any]) -> bytes:
@@ -42,6 +42,37 @@ def provenance_event_leaf(event: Dict[str, Any]) -> bytes:
          "event": event["event"], "actor": event["actor"],
          "metadata": dict(event.get("metadata") or {})},
         sort_keys=True, separators=(",", ":")).encode()
+
+
+class ProvenanceBatch:
+    """Provenance events growing into one ``record_batch`` request.
+
+    The one batch format every ingestion writer uses: each appended
+    event's leaf is hashed into an incremental Merkle tree as it
+    arrives, so sealing reads the root in O(log n) instead of rebuilding
+    the tree (the roots are identical by construction).
+    """
+
+    def __init__(self) -> None:
+        self.events: List[Dict[str, Any]] = []
+        self._tree = IncrementalMerkleTree()
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def append(self, *, handle: str, data_hash: str, event: str, actor: str,
+               metadata: Optional[Dict[str, Any]] = None) -> int:
+        """Add one event; returns its leaf index within the batch."""
+        self.events.append({"handle": handle, "data_hash": data_hash,
+                            "event": event, "actor": actor,
+                            "metadata": dict(metadata or {})})
+        return self._tree.append(provenance_event_leaf(self.events[-1]))
+
+    def request(self, batch_id: str) -> Tuple[str, str, Dict[str, Any]]:
+        """The ``(chaincode, method, args)`` proposal committing the batch."""
+        return ("provenance", "record_batch",
+                {"batch_id": batch_id, "merkle_root": self._tree.root_hex,
+                 "events": self.events})
 
 
 class WorldState:
@@ -85,6 +116,52 @@ class WorldState:
         payload = json.dumps(self._state, sort_keys=True,
                              separators=(",", ":")).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+class CopyOnWriteState(WorldState):
+    """Scratch overlay over a base state; writes never reach the base.
+
+    Endorsement simulation and 2PC prepare both run contracts on one of
+    these.  Reads fall through to the base (an overlay may sit on
+    another overlay), local writes and deletes shadow it: a delete is
+    kept as a tombstone and every probe is the tuple-valued ``lookup``,
+    so a simulated write of ``None`` or a delete hides the stored value.
+    """
+
+    def __init__(self, base: WorldState) -> None:
+        super().__init__()
+        self._base = base
+        self._deleted: set = set()
+
+    def lookup(self, key: str) -> Tuple[bool, Optional[Any]]:
+        if key in self._state:
+            return True, self._state[key]
+        if key in self._deleted:
+            return False, None
+        return self._base.lookup(key)
+
+    def get(self, key: str) -> Optional[Any]:
+        return self.lookup(key)[1]
+
+    def put(self, key: str, value: Any) -> None:
+        self._deleted.discard(key)
+        super().put(key, value)
+
+    def delete(self, key: str) -> bool:
+        present = self.lookup(key)[0]
+        self._state.pop(key, None)
+        self._deleted.add(key)
+        if present:
+            self._versions[key] = self._versions.get(key, 0) + 1
+        return present
+
+    def version(self, key: str) -> int:
+        return self._base.version(key) + super().version(key)
+
+    def keys_with_prefix(self, prefix: str) -> List[str]:
+        keys = set(self._base.keys_with_prefix(prefix))
+        keys.update(super().keys_with_prefix(prefix))
+        return sorted(k for k in keys if k not in self._deleted)
 
 
 class Chaincode:
@@ -437,45 +514,6 @@ class StudyContract(Chaincode):
                 for key in state.keys_with_prefix(prefix)}
 
 
-class _PrepareScratchState:
-    """Copy-on-write overlay over a :class:`WorldState` for prepare-time
-    simulation of staged cross-shard requests — writes land locally and
-    are discarded, so voting yes never mutates the real state."""
-
-    def __init__(self, base: WorldState) -> None:
-        self._base = base
-        self._local: Dict[str, Any] = {}
-        self._deleted: set = set()
-
-    def lookup(self, key: str) -> Tuple[bool, Optional[Any]]:
-        if key in self._deleted:
-            return False, None
-        if key in self._local:
-            return True, self._local[key]
-        return self._base.lookup(key)
-
-    def get(self, key: str) -> Optional[Any]:
-        return self.lookup(key)[1]
-
-    def put(self, key: str, value: Any) -> None:
-        self._deleted.discard(key)
-        self._local[key] = value
-
-    def delete(self, key: str) -> bool:
-        present, _ = self.lookup(key)
-        self._local.pop(key, None)
-        self._deleted.add(key)
-        return present
-
-    def version(self, key: str) -> int:
-        return self._base.version(key) + (1 if key in self._local else 0)
-
-    def keys_with_prefix(self, prefix: str) -> List[str]:
-        keys = set(self._base.keys_with_prefix(prefix))
-        keys |= {k for k in self._local if k.startswith(prefix)}
-        return sorted(k for k in keys if k not in self._deleted)
-
-
 class CrossShardContract(Chaincode):
     """Two-phase commit records for transactions spanning shard channels.
 
@@ -514,9 +552,10 @@ class CrossShardContract(Chaincode):
                        requests: List[Dict[str, Any]]) -> str:
         """Stage this shard's slice of a cross-shard transaction.
 
-        Requests are *simulated* against a scratch overlay before being
-        staged — a request that cannot apply (unknown method, bad args,
-        delegate validation failure) must vote no here, while the
+        Requests are *simulated* on a :class:`CopyOnWriteState` over the
+        shard's state before being staged — a request that cannot apply
+        (unknown method, bad args, delegate validation failure, or a
+        read of committed state that fails) must vote no here, while the
         coordinator can still abort everywhere, not wedge at commit.
         """
         if not requests:
@@ -525,7 +564,7 @@ class CrossShardContract(Chaincode):
         if state.get(self._key(txn_id)) is not None:
             raise LedgerError(
                 f"cross-shard txn {txn_id!r} already has a phase record")
-        scratch = _PrepareScratchState(state)
+        scratch = CopyOnWriteState(state)
         for request in requests:
             delegate = self._delegates.get(request.get("chaincode"))
             if delegate is None:

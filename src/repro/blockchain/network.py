@@ -26,7 +26,17 @@ from ..core.errors import EndorsementError, LedgerError, ServiceUnavailableError
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
 from ..cloudsim.tracing import maybe_span
-from .chaincode import Chaincode, WorldState
+from .chaincode import (
+    Chaincode,
+    ConsentContract,
+    CopyOnWriteState,
+    CrossShardContract,
+    MalwareContract,
+    PrivacyContract,
+    ProvenanceContract,
+    StudyContract,
+    WorldState,
+)
 from .identity import MembershipServiceProvider
 from .ledger import Block, Ledger, Transaction, build_block
 
@@ -67,7 +77,7 @@ class Peer:
         commit, so running read-only methods directly is equivalent.
         """
         chaincode = self._chaincode(tx.chaincode)
-        scratch = _CopyOnWriteState(self.state)
+        scratch = CopyOnWriteState(self.state)
         return chaincode.invoke(scratch, tx.method, tx.args)
 
     def endorse(self, tx: Transaction) -> Tuple[str, bytes]:
@@ -80,7 +90,8 @@ class Peer:
         return (self.peer_id, signature)
 
     def validate(self, tx: Transaction, policy: EndorsementPolicy) -> bool:
-        """Commit-time validation of a transaction's endorsements."""
+        """Per-signature validation of one transaction's endorsements —
+        the reference :meth:`commit_block`'s batch screening agrees with."""
         orgs: List[str] = []
         for member_id, signature in tx.endorsements:
             if not self._msp.verify(member_id, tx.payload(), signature):
@@ -117,36 +128,30 @@ class Peer:
 
     def commit_block(self, block: Block, policy: EndorsementPolicy,
                      degraded_tx_ids: frozenset = frozenset(),
-                     degraded_policy: Optional[EndorsementPolicy] = None,
-                     batch_verify: bool = True) -> int:
+                     degraded_policy: Optional[EndorsementPolicy] = None
+                     ) -> int:
         """Validate + append a block; apply valid txns to world state.
 
         Transactions the channel accepted under a *degraded* quorum (see
         :class:`BlockchainNetwork` resilience) are validated against the
-        reduced policy they were admitted with.  With ``batch_verify``
-        (the default) endorsement signatures are checked with screening-
-        style aggregate RSA verification per endorser; semantics are
-        identical to per-signature validation.  Returns the number of
-        transactions applied (invalid ones are marked-and-skipped, as in
-        Fabric's validation flag model).
+        reduced policy they were admitted with.  Endorsement signatures
+        are checked with screening-style aggregate RSA verification per
+        endorser; the verdicts equal :meth:`validate`'s per-signature
+        ones.  Returns the number of transactions applied (invalid ones
+        are marked-and-skipped, as in Fabric's validation flag model).
         """
         applied = 0
-        signatures_ok = (self._verify_block_endorsements(block)
-                         if batch_verify else None)
-        for index, tx in enumerate(block.transactions):
+        for tx, signatures_ok in zip(block.transactions,
+                                     self._verify_block_endorsements(block)):
+            if not signatures_ok:
+                continue
             effective = (degraded_policy
                          if degraded_policy is not None
                          and tx.tx_id in degraded_tx_ids else policy)
-            if signatures_ok is None:
-                if not self.validate(tx, effective):
-                    continue
-            else:
-                if not signatures_ok[index]:
-                    continue
-                orgs = [self._msp.identity(member_id).organization
-                        for member_id, _ in tx.endorsements]
-                if not effective.satisfied_by(orgs):
-                    continue
+            orgs = [self._msp.identity(member_id).organization
+                    for member_id, _ in tx.endorsements]
+            if not effective.satisfied_by(orgs):
+                continue
             try:
                 chaincode = self._chaincode(tx.chaincode)
                 chaincode.invoke(self.state, tx.method, tx.args)
@@ -192,46 +197,6 @@ class Peer:
         except KeyError:
             raise LedgerError(f"chaincode {name!r} not installed "
                               f"on {self.peer_id}") from None
-
-
-class _CopyOnWriteState(WorldState):
-    """Scratch state for endorsement simulation; writes don't persist.
-
-    The local layer is probed with the tuple-valued ``lookup`` (the same
-    pattern as ``Cache.lookup``), so a simulated write of ``None`` — or a
-    simulated ``delete``, tracked as a tombstone — correctly shadows the
-    base state instead of falling through to the stored value.
-    """
-
-    def __init__(self, base: WorldState) -> None:
-        super().__init__()
-        self._base = base
-        self._deleted: set = set()
-
-    def get(self, key: str) -> Any:
-        present, local = self.lookup(key)
-        if present:
-            return local
-        if key in self._deleted:
-            return None
-        return self._base.get(key)
-
-    def put(self, key: str, value: Any) -> None:
-        self._deleted.discard(key)
-        super().put(key, value)
-
-    def delete(self, key: str) -> bool:
-        present, _ = self.lookup(key)
-        if not present:
-            present = key not in self._deleted and self._base.lookup(key)[0]
-        self._deleted.add(key)
-        super().delete(key)
-        return present
-
-    def keys_with_prefix(self, prefix: str) -> List[str]:
-        keys = set(self._base.keys_with_prefix(prefix))
-        keys.update(super().keys_with_prefix(prefix))
-        return sorted(k for k in keys if k not in self._deleted)
 
 
 class OrderingService:
@@ -304,8 +269,6 @@ class BlockchainNetwork:
         # so traces over many channels attribute cost to the right shard.
         self.channel_name: Optional[str] = None
         self.span_tags: Dict[str, Any] = {}
-        # Commit-time signature checking mode (see Peer.commit_block).
-        self.batch_verify = True
         # Pipelined ingestion hook: when set, phase latencies are charged
         # to this callback instead of advancing the shared clock, letting
         # an orchestrator overlap phases across shards/rounds and advance
@@ -480,8 +443,7 @@ class BlockchainNetwork:
                 for peer in self.peers:
                     peer.commit_block(block, self.policy,
                                       degraded_tx_ids=degraded,
-                                      degraded_policy=self.degraded_policy,
-                                      batch_verify=self.batch_verify)
+                                      degraded_policy=self.degraded_policy)
                     self._charge("commit", self.COMMIT_LATENCY)
                 in_block = {tx.tx_id for tx in block.transactions}
                 self._degraded_committed |= self._degraded_tx_ids & in_block
@@ -538,3 +500,61 @@ class BlockchainNetwork:
         return all(p.state.snapshot_hash() == reference_state
                    and p.ledger.tip_hash == reference_tip
                    for p in self.peers[1:])
+
+
+# The four parties of the Fig. 6 network; each runs one endorsing peer.
+ORGANIZATIONS = ("sender-org", "provider-org", "data-protection-org",
+                 "audit-org")
+
+
+def build_channel(msp_seed: Optional[int], name: Optional[str] = None, *,
+                  batch_size: int = 10,
+                  policy: Optional[EndorsementPolicy] = None,
+                  clock: Optional[SimClock] = None,
+                  monitoring: Optional[MonitoringService] = None,
+                  degraded_policy: Optional[EndorsementPolicy] = None
+                  ) -> BlockchainNetwork:
+    """Build one channel of the Fig. 6 network; every channel comes here.
+
+    Each organization's peer has every contract installed, including
+    the cross-shard 2PC contract with the others as its delegates.  The
+    peers enrol first, then the ingestion service and the auditor: the
+    enrolment order fixes each member's key seed.  A named channel (a
+    shard) prefixes its peer ids with the name and tags its spans.
+    """
+    msp = MembershipServiceProvider(seed=msp_seed)
+    channel = BlockchainNetwork(msp, policy=policy, batch_size=batch_size,
+                                clock=clock, monitoring=monitoring,
+                                degraded_policy=degraded_policy)
+    contracts: Dict[str, Chaincode] = {
+        "provenance": ProvenanceContract(),
+        "consent": ConsentContract(),
+        "malware": MalwareContract(),
+        "privacy": PrivacyContract(),
+        "study": StudyContract(),
+    }
+    contracts["xshard"] = CrossShardContract(delegates=contracts)
+    prefix = ""
+    if name is not None:
+        channel.channel_name = name
+        channel.span_tags = {"shard": name}
+        prefix = f"{name}."
+    for org in ORGANIZATIONS:
+        peer_id = f"{prefix}peer.{org}"
+        msp.enroll(peer_id, org, roles={"peer"})
+        channel.add_peer(Peer(peer_id, org, msp, contracts))
+    msp.enroll("ingestion-service", "provider-org", roles={"client"})
+    msp.enroll("auditor", "audit-org", roles={"auditor"})
+    return channel
+
+
+def standard_network(seed: int = 0, batch_size: int = 10,
+                     policy: Optional[EndorsementPolicy] = None,
+                     clock: Optional[SimClock] = None,
+                     monitoring: Optional[MonitoringService] = None
+                     ) -> BlockchainNetwork:
+    """Build the reference HCLS network of Fig. 6: one unnamed channel
+    of sender org, healthcare provider, data-protection service and
+    audit service."""
+    return build_channel(seed, batch_size=batch_size, policy=policy,
+                         clock=clock, monitoring=monitoring)

@@ -39,39 +39,31 @@ from ..core.errors import EndorsementError, LedgerError, ServiceUnavailableError
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
 from ..cloudsim.tracing import maybe_span
-from .chaincode import (
-    ConsentContract,
-    CrossShardContract,
-    MalwareContract,
-    PrivacyContract,
-    ProvenanceContract,
-    StudyContract,
-)
-from .identity import MembershipServiceProvider
-from .network import BlockchainNetwork, EndorsementPolicy, Peer
+from .network import BlockchainNetwork, EndorsementPolicy, build_channel
+
+
+# Virtual points per shard on the consistent-hash ring.
+VIRTUAL_REPLICAS = 64
 
 
 class ShardRouter:
     """Consistent-hash router from routing keys to shard indices.
 
-    A seeded sha256 ring with ``replicas`` virtual points per shard:
+    A seeded sha256 ring with :data:`VIRTUAL_REPLICAS` points per shard:
     ``shard_for`` walks clockwise from the key's point to the next shard
-    point.  Deterministic for a given ``(n_shards, seed, replicas)``, and
-    stable under resharding — growing from N to N+1 shards remaps only
-    the keys that land in the new shard's arcs (~1/(N+1) of them).
+    point.  Deterministic for a given ``(n_shards, seed)``, and stable
+    under resharding — growing from N to N+1 shards remaps only the keys
+    that land in the new shard's arcs (~1/(N+1) of them).
     """
 
-    def __init__(self, n_shards: int, seed: int = 0,
-                 replicas: int = 64) -> None:
+    def __init__(self, n_shards: int, seed: int = 0) -> None:
         if n_shards < 1:
             raise ValueError("need at least one shard")
-        if replicas < 1:
-            raise ValueError("need at least one virtual replica per shard")
         self.n_shards = n_shards
         self.seed = seed
         ring: List[Tuple[int, int]] = []
         for shard in range(n_shards):
-            for replica in range(replicas):
+            for replica in range(VIRTUAL_REPLICAS):
                 ring.append((self._point(f"shard:{shard}:{replica}"), shard))
         ring.sort()
         self._points = [point for point, _ in ring]
@@ -166,42 +158,16 @@ def sharded_channel(shard: int, seed: Optional[int] = 0,
                     ) -> BlockchainNetwork:
     """One shard's channel: own MSP, peers, orderer, ledger, contracts.
 
-    Mirrors :func:`~repro.blockchain.standard_network` (same four
-    organizations, same contracts) plus the cross-shard 2PC contract with
-    the standard contracts registered as its delegates.  The MSP seed is
-    a pure function of ``(seed, shard)``, so repeated builds reuse the
+    Built by :func:`~repro.blockchain.network.build_channel`, as the
+    reference network is, under the shard's name.  The MSP seed is a
+    pure function of ``(seed, shard)``, so repeated builds reuse the
     memoized keypairs.
     """
-    name = ShardedBlockchainNetwork.shard_name(shard)
-    msp_seed = None if seed is None else seed * 7919 + shard + 1
-    msp = MembershipServiceProvider(seed=msp_seed)
-    channel = BlockchainNetwork(
-        msp,
-        policy=policy if policy is not None else EndorsementPolicy(2, 2),
-        batch_size=batch_size,
-        clock=clock,
-        monitoring=monitoring,
-        degraded_policy=degraded_policy,
-    )
-    channel.channel_name = name
-    channel.span_tags = {"shard": name}
-    contracts = {
-        "provenance": ProvenanceContract(),
-        "consent": ConsentContract(),
-        "malware": MalwareContract(),
-        "privacy": PrivacyContract(),
-        "study": StudyContract(),
-    }
-    contracts["xshard"] = CrossShardContract(delegates=contracts)
-    organizations = ["sender-org", "provider-org", "data-protection-org",
-                     "audit-org"]
-    for org in organizations:
-        peer_id = f"{name}.peer.{org}"
-        msp.enroll(peer_id, org, roles={"peer"})
-        channel.add_peer(Peer(peer_id, org, msp, contracts))
-    msp.enroll("ingestion-service", "provider-org", roles={"client"})
-    msp.enroll("auditor", "audit-org", roles={"auditor"})
-    return channel
+    return build_channel(None if seed is None else seed * 7919 + shard + 1,
+                         ShardedBlockchainNetwork.shard_name(shard),
+                         batch_size=batch_size, policy=policy, clock=clock,
+                         monitoring=monitoring,
+                         degraded_policy=degraded_policy)
 
 
 class ShardedBlockchainNetwork:
@@ -218,12 +184,11 @@ class ShardedBlockchainNetwork:
                  policy: Optional[EndorsementPolicy] = None,
                  clock: Optional[SimClock] = None,
                  monitoring: Optional[MonitoringService] = None,
-                 replicas: int = 64,
                  degraded_policy: Optional[EndorsementPolicy] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(self.clock))
-        self.router = ShardRouter(n_shards, seed=seed, replicas=replicas)
+        self.router = ShardRouter(n_shards, seed=seed)
         self.channels: List[BlockchainNetwork] = [
             sharded_channel(shard, seed=seed, batch_size=batch_size,
                             policy=policy, clock=self.clock,

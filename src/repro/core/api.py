@@ -18,14 +18,10 @@ mapped to HTTP statuses by the single table in
 :mod:`repro.core.errors` (:func:`~repro.core.errors.http_status_for`) —
 no per-branch response construction.  Routes are versioned
 (``/v1/...``); unversioned paths resolve against the default version.
-
-The legacy ``gateway.call(path, token, ...)`` signature survives as a
-deprecation shim over :meth:`dispatch`.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -309,19 +305,3 @@ class ApiGateway:
             raise DeadlineExceededError(
                 f"deadline {request.deadline_s:.3f}s passed {when} "
                 f"(now {self.clock.now:.3f}s)")
-
-    # -- legacy surface ------------------------------------------------------
-
-    def call(self, path: str, token: IdentityToken, *,
-             scope_entity_id: str, org_id: str, env_id: str,
-             deadline_s: Optional[float] = None,
-             **kwargs: Any) -> ApiResponse:
-        """Deprecated: build an :class:`ApiRequest` and use :meth:`dispatch`."""
-        warnings.warn(
-            "ApiGateway.call(path, token, ...) is deprecated; build an "
-            "ApiRequest and use ApiGateway.dispatch(request)",
-            DeprecationWarning, stacklevel=2)
-        return self.dispatch(ApiRequest(
-            path=path, token=token, scope_entity_id=scope_entity_id,
-            org_id=org_id, env_id=env_id, params=kwargs,
-            deadline_s=deadline_s))

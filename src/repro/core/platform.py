@@ -135,11 +135,9 @@ class HealthCloudPlatform:
         if self.blockchain is not None:
             self.blockchain.flush()
 
-    def run_ingestion(self, limit: Optional[int] = None,
-                      batch_size: Optional[int] = None) -> int:
+    def run_ingestion(self, limit: Optional[int] = None) -> int:
         """Drive the background ingestion worker, then seal the ledger."""
-        processed = self.ingestion.process_pending(limit,
-                                                   batch_size=batch_size)
+        processed = self.ingestion.process_pending(limit)
         self.flush_blockchain()
         return processed
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..blockchain.chaincode import provenance_event_leaf
+from ..blockchain.chaincode import ProvenanceBatch
 from ..blockchain.network import BlockchainNetwork
 from ..blockchain.sharding import ShardedBlockchainNetwork, ShardedIngestReport
 from ..cloudsim.clock import SimClock
@@ -36,7 +36,6 @@ from ..core.errors import (
     IngestionError,
     NotFoundError,
 )
-from ..crypto.merkle import IncrementalMerkleTree
 from ..crypto.rsa import (
     HybridCiphertext,
     RsaPrivateKey,
@@ -66,6 +65,9 @@ class IngestionStatus(Enum):
     STORED = "stored"
     REJECTED = "rejected"
 
+
+# The ledger identity every ingestion writer submits as.
+SUBMITTER = "ingestion-service"
 
 # Simulated per-stage service times (seconds) for the E1 latency split.
 STAGE_COSTS = {
@@ -145,11 +147,9 @@ class IngestionService:
         # paper's original event-per-transaction behaviour.
         self.provenance_batch_size = provenance_batch_size
         self.tracer = None   # optional request-path tracing hook
-        self._event_buffer: List[Dict[str, Any]] = []
-        # Leaves of the buffered events, hashed as they arrive: flushing a
-        # batch reads the running root in O(log n) instead of rebuilding
-        # the whole tree (the roots are identical by construction).
-        self._event_tree = IncrementalMerkleTree()
+        # The open batch and its verdict reports are kept until their
+        # submission succeeds; a failed flush retries them next time.
+        self._batch = ProvenanceBatch()
         self._report_buffer: List[Tuple[str, str, Dict[str, Any]]] = []
         self._batch_counter = 0
 
@@ -199,23 +199,20 @@ class IngestionService:
 
     # -- background worker -----------------------------------------------------------
 
-    def process_pending(self, limit: Optional[int] = None,
-                        batch_size: Optional[int] = None) -> int:
+    def process_pending(self, limit: Optional[int] = None) -> int:
         """Run the background ingestion process over queued jobs.
 
-        Jobs are driven through the stages in batches of ``batch_size``
-        (default: the service's ``provenance_batch_size``); each batch's
-        buffered provenance events are flushed as one Merkle-batched,
-        endorsed transaction, so the endorsement cost is amortized across
-        the whole batch instead of paid per stage event.
+        Jobs are driven through the stages in batches of the service's
+        ``provenance_batch_size``; each batch's buffered provenance
+        events are flushed as one Merkle-batched, endorsed transaction,
+        so the endorsement cost is amortized across the whole batch
+        instead of paid per stage event.
         """
-        if batch_size is None:
-            batch_size = self.provenance_batch_size
-        batch_size = max(1, batch_size)
         processed = 0
         in_batch = 0
         with maybe_span(self.tracer, "ingestion.process_pending",
-                        "ingestion", batch_size=batch_size) as span:
+                        "ingestion",
+                        batch_size=self.provenance_batch_size) as span:
             while self._queue and (limit is None or processed < limit):
                 job_id = self._queue.popleft()
                 self.monitoring.metrics.set_gauge("ingestion.queue_depth",
@@ -227,7 +224,7 @@ class IngestionService:
                     job_span.set_attribute("status", job.status.value)
                 processed += 1
                 in_batch += 1
-                if in_batch >= batch_size:
+                if in_batch >= self.provenance_batch_size:
                     self.flush_provenance()
                     in_batch = 0
             self.flush_provenance()
@@ -241,42 +238,39 @@ class IngestionService:
         transaction carrying their Merkle root (every event keeps an
         inclusion proof against that endorsed root); buffered malware and
         privacy reports ride in the same endorsement round-trip via
-        :meth:`BlockchainNetwork.submit_batch`.  Returns the number of
+        :meth:`BlockchainNetwork.submit_batch`.  The buffers are cleared
+        only once the submission succeeds.  Returns the number of
         transactions submitted.
         """
         if self.blockchain is None:
             return 0
         requests: List[Tuple[str, str, Dict[str, Any]]] = []
-        if self._event_buffer:
-            events = list(self._event_buffer)
-            self._event_buffer.clear()
-            self._batch_counter += 1
-            batch_id = f"provbatch-{self._batch_counter:06d}"
-            merkle_root = self._event_tree.root_hex
-            self._event_tree = IncrementalMerkleTree()
-            requests.append(("provenance", "record_batch",
-                             {"batch_id": batch_id,
-                              "merkle_root": merkle_root,
-                              "events": events}))
-            self.monitoring.metrics.incr("ingestion.provenance_batches")
-            self.monitoring.metrics.incr("ingestion.provenance_events",
-                                         len(events))
-        reports = list(self._report_buffer)
-        self._report_buffer.clear()
+        n_events = len(self._batch)
+        if n_events:
+            requests.append(self._batch.request(
+                f"provbatch-{self._batch_counter + 1:06d}"))
         # Per-record privacy verdicts collapse into one batch transaction
         # (they are the second per-job cost after provenance events);
         # anything else — malware reports are rare — goes out as-is.
-        privacy_levels = [args for chaincode, method, args in reports
+        privacy_levels = [args for chaincode, method, args
+                          in self._report_buffer
                           if (chaincode, method) == ("privacy", "record_level")]
         if privacy_levels:
             requests.append(("privacy", "record_level_batch",
                              {"records": privacy_levels}))
         requests.extend(
-            report for report in reports
+            report for report in self._report_buffer
             if (report[0], report[1]) != ("privacy", "record_level"))
         if not requests:
             return 0
-        self.blockchain.submit_batch("ingestion-service", requests)
+        self.blockchain.submit_batch(SUBMITTER, requests)
+        if n_events:
+            self._batch_counter += 1
+            self._batch = ProvenanceBatch()
+            self.monitoring.metrics.incr("ingestion.provenance_batches")
+            self.monitoring.metrics.incr("ingestion.provenance_events",
+                                         n_events)
+        self._report_buffer.clear()
         return len(requests)
 
     def _advance(self, job: IngestionJob, status: IngestionStatus) -> None:
@@ -383,10 +377,9 @@ class IngestionService:
                   "event": event, "actor": job.client_id,
                   "metadata": {"group": job.group_id}}
         if self.provenance_batch_size > 1:
-            self._event_buffer.append(record)
-            self._event_tree.append(provenance_event_leaf(record))
+            self._batch.append(**record)
         else:
-            self.blockchain.submit("ingestion-service", "provenance",
+            self.blockchain.submit(SUBMITTER, "provenance",
                                    "record_event", **record)
 
     def _malware_report(self, job: IngestionJob, scan) -> None:
@@ -409,8 +402,7 @@ class IngestionService:
         if self.provenance_batch_size > 1:
             self._report_buffer.append((chaincode, method, args))
         else:
-            self.blockchain.submit("ingestion-service", chaincode, method,
-                                   **args)
+            self.blockchain.submit(SUBMITTER, chaincode, method, **args)
 
     def _job(self, job_id: str) -> IngestionJob:
         try:
@@ -430,25 +422,24 @@ class ShardedIngestionFrontend:
 
     The write-path front door for a :class:`ShardedBlockchainNetwork`:
     every event carries a tenant/patient ``routing_key``; events for the
-    same shard accumulate in a shard-local buffer whose Merkle root grows
-    incrementally with each event.  When a buffer reaches
-    ``events_per_batch`` it is sealed into one ``record_batch`` request;
-    :meth:`flush` seals the remainder and hands every sealed batch to the
-    network's fork-join pipelined :meth:`ShardedBlockchainNetwork.ingest`
-    in one call.  The ``ingestion.queue_depth`` gauge tracks events
-    buffered or sealed but not yet committed.
+    same shard accumulate in a shard-local :class:`ProvenanceBatch`.
+    When a batch reaches ``events_per_batch`` it is sealed into one
+    ``record_batch`` request; :meth:`flush` seals the remainder and hands
+    every sealed batch to the network's fork-join pipelined
+    :meth:`ShardedBlockchainNetwork.ingest` in one call.  The
+    ``ingestion.queue_depth`` gauge tracks events buffered or sealed but
+    not yet committed.
     """
 
     def __init__(self, network: ShardedBlockchainNetwork,
-                 events_per_batch: int = 16,
-                 submitter: str = "ingestion-service") -> None:
+                 events_per_batch: int = 16) -> None:
         if events_per_batch < 1:
             raise ValueError("events per batch must be >= 1")
         self.network = network
         self.events_per_batch = events_per_batch
-        self.submitter = submitter
         self.monitoring = network.monitoring
-        self._buffers: Dict[int, Dict[str, Any]] = {}
+        # shard -> (routing key of its first event, open batch)
+        self._buffers: Dict[int, Tuple[str, ProvenanceBatch]] = {}
         self._sealed: List[Tuple[str, Tuple[str, str, Dict[str, Any]]]] = []
         self._sealed_events = 0
         self._batch_counter = 0
@@ -456,7 +447,7 @@ class ShardedIngestionFrontend:
     @property
     def pending_events(self) -> int:
         """Events accepted but not yet committed to any shard ledger."""
-        buffered = sum(len(buf["events"]) for buf in self._buffers.values())
+        buffered = sum(len(batch) for _, batch in self._buffers.values())
         return buffered + self._sealed_events
 
     def record_event(self, routing_key: str, *, handle: str, data_hash: str,
@@ -468,34 +459,28 @@ class ShardedIngestionFrontend:
         position its Merkle inclusion proof is anchored at.
         """
         shard = self.network.router.shard_for(routing_key)
-        buf = self._buffers.get(shard)
-        if buf is None:
-            buf = {"key": routing_key, "events": [],
-                   "tree": IncrementalMerkleTree()}
-            self._buffers[shard] = buf
-        record = {"handle": handle, "data_hash": data_hash, "event": event,
-                  "actor": actor, "metadata": dict(metadata or {})}
-        leaf_index = buf["tree"].append(provenance_event_leaf(record))
-        buf["events"].append(record)
-        if len(buf["events"]) >= self.events_per_batch:
+        if shard not in self._buffers:
+            self._buffers[shard] = (routing_key, ProvenanceBatch())
+        _, batch = self._buffers[shard]
+        leaf_index = batch.append(handle=handle, data_hash=data_hash,
+                                  event=event, actor=actor,
+                                  metadata=metadata)
+        if len(batch) >= self.events_per_batch:
             self._seal(shard)
         self.monitoring.metrics.set_gauge("ingestion.queue_depth",
                                           self.pending_events)
         return leaf_index
 
     def _seal(self, shard: int) -> None:
-        buf = self._buffers.pop(shard)
+        routing_key, batch = self._buffers.pop(shard)
         self._batch_counter += 1
         batch_id = (f"shardbatch-{self.network.shard_name(shard)}"
                     f"-{self._batch_counter:06d}")
-        self._sealed.append((buf["key"], (
-            "provenance", "record_batch",
-            {"batch_id": batch_id, "merkle_root": buf["tree"].root_hex,
-             "events": buf["events"]})))
-        self._sealed_events += len(buf["events"])
+        self._sealed.append((routing_key, batch.request(batch_id)))
+        self._sealed_events += len(batch)
         self._publish("ingestion.batch_sealed",
                       shard=self.network.shard_name(shard),
-                      batch=batch_id, events=len(buf["events"]))
+                      batch=batch_id, events=len(batch))
 
     def flush(self, round_size: Optional[int] = None,
               pipelined: bool = True) -> Optional[ShardedIngestReport]:
@@ -519,7 +504,7 @@ class ShardedIngestionFrontend:
         sealed = list(self._sealed)
         self._publish("ingestion.flush", batches=len(sealed),
                       events=self._sealed_events)
-        report = self.network.ingest(self.submitter, sealed,
+        report = self.network.ingest(SUBMITTER, sealed,
                                      round_size=round_size,
                                      pipelined=pipelined)
         self._sealed = []

@@ -45,6 +45,13 @@ from .subscriptions import SubscriptionRegistry
 ADMIT_COST_S = 0.2e-3      # dequeue + dedupe + consent/stub checks
 PUSH_COST_S = 0.3e-3       # match + serialize + publish
 
+# The commit window: a flush after this many processed events.  A flush
+# whose worker→orderer link drops is retried this many times, the k-th
+# retry after k backoff steps.
+FLUSH_EVERY_EVENTS = 32
+COMMIT_RETRIES = 3
+RETRY_BACKOFF_S = 2e-3
+
 PUSH_GOOD_SERIES = "streaming.push.good"
 PUSH_BAD_SERIES = "streaming.push.bad"
 
@@ -61,11 +68,7 @@ class StreamingPipeline:
                  policy_factory: Optional[
                      Callable[[str], SheddingPolicy]] = None,
                  scheduler=None,
-                 flush_every_events: int = 32,
-                 flush_round_size: Optional[int] = None,
-                 push_slo_threshold_s: float = 0.25,
-                 commit_retries: int = 3,
-                 retry_backoff_s: float = 2e-3) -> None:
+                 push_slo_threshold_s: float = 0.25) -> None:
         self.frontend = frontend
         self.analytics = analytics
         self.registry = registry
@@ -76,11 +79,7 @@ class StreamingPipeline:
         self.policy_factory = (policy_factory if policy_factory is not None
                                else (lambda name: DropOldestPolicy()))
         self.scheduler = scheduler
-        self.flush_every_events = flush_every_events
-        self.flush_round_size = flush_round_size
         self.push_slo_threshold_s = push_slo_threshold_s
-        self.commit_retries = commit_retries
-        self.retry_backoff_s = retry_backoff_s
         # Optional hooks, attached post-construction (tracer.bind / chaos).
         self.tracer = None
         self.fault_plan = None
@@ -228,7 +227,7 @@ class StreamingPipeline:
                       "arrival_s": round(event.arrival_s, 6)})
         span.set_attribute("leaf_index", leaf)
         self._since_flush += 1
-        if self._since_flush >= self.flush_every_events:
+        if self._since_flush >= FLUSH_EVERY_EVENTS:
             self.flush()
 
     def flush(self, force: bool = False) -> bool:
@@ -251,15 +250,15 @@ class StreamingPipeline:
                 attempts += 1
                 self.commit_retries_used += 1
                 self.monitoring.metrics.incr("streaming.commit.retries")
-                if attempts > self.commit_retries:
+                if attempts > COMMIT_RETRIES:
                     self.failed_flushes += 1
                     self.monitoring.metrics.incr(
                         "streaming.commit.failed_flushes")
                     self._since_flush = 0
                     return False
-                self.clock.advance(self.retry_backoff_s * attempts)
+                self.clock.advance(RETRY_BACKOFF_S * attempts)
                 continue
-            self.frontend.flush(round_size=self.flush_round_size)
+            self.frontend.flush()
             break
         self.flushes += 1
         self._since_flush = 0

@@ -243,15 +243,23 @@ class TestOrderingService:
 
 class TestCopyOnWriteState:
     """Regression tests: the scratch state must shadow the base through a
-    tuple probe, not an ``is not None`` check."""
+    tuple probe, not an ``is not None`` check, and read through to it."""
 
     def _states(self):
-        from repro.blockchain.chaincode import WorldState
-        from repro.blockchain.network import _CopyOnWriteState
+        from repro.blockchain.chaincode import CopyOnWriteState, WorldState
         base = WorldState()
         base.put("k", "committed-value")
         base.put("other", 7)
-        return base, _CopyOnWriteState(base)
+        return base, CopyOnWriteState(base)
+
+    def test_lookup_falls_through_to_base(self):
+        from repro.blockchain.chaincode import CopyOnWriteState
+        _, scratch = self._states()
+        assert scratch.lookup("k") == (True, "committed-value")
+        assert scratch.lookup("never-existed") == (False, None)
+        # 2PC prepare stacks an overlay on the endorsement overlay.
+        assert CopyOnWriteState(scratch).lookup("k") == (
+            True, "committed-value")
 
     def test_simulated_none_write_shadows_base(self):
         base, scratch = self._states()
@@ -291,33 +299,31 @@ class TestCopyOnWriteState:
 
 class TestBatchVerifiedCommit:
     def test_batch_and_per_signature_commit_agree_on_tampered_block(self):
-        """A forged signature in a block invalidates exactly that tx under
-        both validation modes (screening falls back per-signature)."""
+        """A forged signature in a block invalidates exactly that tx, as
+        the per-signature ``Peer.validate`` reference says it must
+        (screening falls back per-signature)."""
         import dataclasses
 
-        def run(batch_verify):
-            net = standard_network(seed=31, batch_size=4)
-            net.batch_verify = batch_verify
-            for i in range(4):
-                net.submit("ingestion-service", "provenance",
-                           "record_event", handle=f"bv{i}",
-                           data_hash="aa" * 32, event="received", actor="c")
-            # Tamper with one endorsement of one pending transaction.
-            victim = net.orderer._pending[2]
-            member_id, sig = victim.endorsements[0]
-            bad = bytes([sig[0] ^ 0xFF]) + sig[1:]
-            net.orderer._pending[2] = dataclasses.replace(
-                victim, endorsements=((member_id, bad),)
-                + victim.endorsements[1:])
-            net.flush()
-            return [net.query("provenance", "get_history",
-                              handle=f"bv{i}") for i in range(4)]
-
-        batched = run(True)
-        unbatched = run(False)
-        assert batched == unbatched
-        assert batched[2] == []          # tampered tx dropped
-        assert all(batched[i] for i in (0, 1, 3))
+        net = standard_network(seed=31, batch_size=4)
+        for i in range(4):
+            net.submit("ingestion-service", "provenance",
+                       "record_event", handle=f"bv{i}",
+                       data_hash="aa" * 32, event="received", actor="c")
+        # Tamper with one endorsement of one pending transaction.
+        victim = net.orderer._pending[2]
+        member_id, sig = victim.endorsements[0]
+        bad = bytes([sig[0] ^ 0xFF]) + sig[1:]
+        net.orderer._pending[2] = dataclasses.replace(
+            victim, endorsements=((member_id, bad),)
+            + victim.endorsements[1:])
+        reference = [net.peers[0].validate(tx, net.policy)
+                     for tx in net.orderer._pending]
+        assert reference == [True, True, False, True]
+        net.flush()
+        committed = [bool(net.query("provenance", "get_history",
+                                    handle=f"bv{i}")) for i in range(4)]
+        assert committed == reference
+        assert net.peers_converged()
 
 
 class TestDegradedSync:

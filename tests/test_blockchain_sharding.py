@@ -58,8 +58,6 @@ class TestShardRouter:
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             ShardRouter(0)
-        with pytest.raises(ValueError):
-            ShardRouter(2, replicas=0)
 
 
 class TestPipelineMakespan:
@@ -258,6 +256,29 @@ class TestCrossShardCommit:
         # The scratch overlay never leaked simulated writes.
         assert not net.query(key_b, "consent", "is_active",
                              patient_ref="p-b", group_id="study-1")
+
+    def test_prepare_reads_committed_state(self):
+        # Revoking needs the committed grant: prepare-time simulation
+        # must read through to the peer's state, or both shards vote no
+        # ("no active consent to revoke") and the transaction aborts.
+        net = ShardedBlockchainNetwork(2, seed=0)
+        coordinator = CrossShardCoordinator(net)
+        key_a, key_b = _two_shard_keys(net)
+        for key, ref in ((key_a, "p-a"), (key_b, "p-b")):
+            _, chaincode, method, args = _consent_op(key, ref)
+            net.submit("ingestion-service", key, chaincode, method, **args)
+        net.flush_all()
+        txn = coordinator.submit("ingestion-service", [
+            (key, "consent", "revoke",
+             {"patient_ref": ref, "group_id": "study-1", "revoked_at": 2.0})
+            for key, ref in ((key_a, "p-a"), (key_b, "p-b"))])
+        assert txn.state == "committed"
+        assert net.monitoring.metrics.counter(
+            "blockchain.endorsement_failures") == 0
+        for key, ref in ((key_a, "p-a"), (key_b, "p-b")):
+            assert not net.query(key, "consent", "is_active",
+                                 patient_ref=ref, group_id="study-1")
+        assert net.peers_converged()
 
     def test_prepare_simulation_does_not_mutate_state(self):
         # A successful prepare stages requests without applying them.

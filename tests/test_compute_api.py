@@ -183,22 +183,3 @@ class TestAuditAndHealth:
                 "job.succeeded", "task.finished"} <= kinds
         report = plane.snapshot()
         assert report.events["by_source"]["compute"] >= 5
-
-
-class TestShims:
-    def test_run_delt_shim_warns_and_runs(self):
-        from repro.compute import shims
-        from repro.workloads import generate_emr_cohort
-        cohort = generate_emr_cohort(n_patients=20, n_drugs=4,
-                                     n_lowering=1, seed=3)
-        with pytest.warns(DeprecationWarning, match="/v1/compute"):
-            model = shims.run_delt(cohort.patients, n_drugs=4)
-        assert model.effects.shape == (4,)
-
-    def test_run_similarity_shim_warns(self):
-        from repro.compute import shims
-        from repro.knowledge import generate_universe
-        universe = generate_universe(n_drugs=8, n_diseases=6, seed=1)
-        with pytest.warns(DeprecationWarning):
-            sources = shims.run_similarity(universe)
-        assert "chemical" in sources

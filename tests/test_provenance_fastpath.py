@@ -106,6 +106,29 @@ class TestBatchedPipeline:
                 "privacy", "record_level_of", record_id=job.job_id)
             assert level["passed"]
 
+    def test_failed_flush_keeps_events_until_submission_succeeds(self):
+        from repro.cloudsim.faults import FaultPlan
+        platform, jobs = build_platform(provenance_batch_size=16,
+                                        n_bundles=3)
+        plan = FaultPlan(seed=1, clock=platform.clock)
+        for peer in platform.blockchain.peers[:3]:
+            plan.crash_node(peer.peer_id, start_s=0.0, end_s=1_000.0)
+        for peer in platform.blockchain.peers:
+            peer.fault_plan = plan
+        with pytest.raises(EndorsementError):
+            platform.run_ingestion()
+        assert all(job.status is IngestionStatus.STORED for job in jobs)
+        platform.clock.advance_to(2_000.0)
+        platform.run_ingestion()
+        view = AuditorView(platform.blockchain)
+        stored = view.search_events(event="stored")
+        assert len(stored) == 3
+        assert all(view.verify_event(finding) for finding in stored)
+        # The privacy verdicts were kept with the batch, not dropped.
+        for job in jobs:
+            assert platform.blockchain.query(
+                "privacy", "record_level_of", record_id=job.job_id)
+
 
 class TestAuditSemantics:
     def test_every_event_individually_queryable_with_proof(self):

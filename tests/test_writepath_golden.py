@@ -29,21 +29,21 @@ from repro.ingestion import ShardedIngestionFrontend, encrypt_bundle_for_upload
 # channel -> (tip_hash, running_tx_root, endorsement digest)
 GOLDEN = {
     "standard": (
-        "aa9feaa8f3baf3ec3bdfa6295dbdc90432322b925a75cc20228ff91f5436bb10",
-        "e16674e856d25c51cae00329fb645255f919cda9d4bd67db09ab764a27ef985d",
-        "a18c90044a02822762c6bdfc84c3239d23de55e5da145bd8f57a6bd0f92f11f6"),
+        "b246e417faf4504f16b77b148a57de9ce1f892c4dc86120f2a54fe332a207635",
+        "5764ecaa868827442c542ef7cc38a6f2287ef1b800c75b85bdd1afa3181f7fd7",
+        "046abecab78b767c248080ee34c48ef3aef8c93124b062ba4d68cebd701dfd9b"),
     "shard-00": (
-        "e7843af305404d61850009061e96e1ece14567fcb54052f607e127df8464e821",
-        "c4d123c183b7e5f274c84b26c39741287f03ba2f9befc2260f5c161dd3ed8094",
-        "f3dc266a7229463615da04525163a548c9c69877bc411068083538a54bcb5d08"),
+        "5d371e9b79c7b05fc3098c430f5b045ec7f583beedce6ddb35eb7acda4e64731",
+        "73808ae76e7d2da545833fd3b61aac68e185adebd317b2ed8ed521f5f16ea354",
+        "ad69e924ed4084124313c6eb5ce66302e4aefe689ba1139aa70e505ca7d16ecb"),
     "shard-01": (
-        "e7bea5df33f744794fb6ba15d8b9619a5bc0901efd022fdd3f37514ad0dc3810",
-        "8ae39fb80bc913753e3426ba63eea1c612b77b8b167a79160de7b5a84076b3b9",
-        "0d3999223805169a196660cafe8707c5a531a8d5a2a54c6e79c8b2abb869e791"),
+        "4d4c9894874a1c0be1e93c06c45af8ac2fd00e76cff6085fd85367a0e6d94891",
+        "1dd80174017de1a1ef4f1808fdd7db6c7a5e73658c3c90bb9bafb3991f227d5d",
+        "d25a50d1cc7a9ec46acf01272c1aab33dbc2965eeed7d57e0ce804b3fdfc7210"),
     "platform": (
-        "33b2f0972ea25fdfc7f30eec48e5b5e8bffc82d2be7a4dfbde8f13c0923858e0",
+        "221618de53454bed990c6186b4e7633b9553c1676574ab9c5dfe128b448cbf39",
         "4195419fc258c8af0aa3fd824168a369e0e1f7a7a3e6c16d42a98f5bb3cf75d1",
-        "31a7f0eae9ae52ee3be6d9fe6a7dc801ad5d00113713cc7c8ddc15f63bab7d11"),
+        "bceeec5ec518b8ff54343536d74ba698a3eed4a765d69d1f6284424241199d57"),
 }
 
 

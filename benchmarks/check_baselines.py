@@ -1,4 +1,4 @@
-"""Check the committed simulated outputs of the P3–P10 benchmarks.
+"""Check the committed simulated outputs of the P1 and P3–P10 benchmarks.
 
 Reruns each bench in ``--quick`` mode into a temporary file and
 byte-compares it with its committed copy under ``benchmarks/baselines/``.
@@ -24,6 +24,7 @@ SRC = HERE.parent / "src"
 
 # bench script -> the JSON it writes with ``--quick``.
 BENCHES = (
+    ("bench_p1_provenance_fastpath", "BENCH_provenance.json"),
     ("bench_p3_chaos", "BENCH_chaos.json"),
     ("bench_p4_readpath", "BENCH_readpath.json"),
     ("bench_p5_tracing", "BENCH_tracing.json"),

@@ -45,7 +45,6 @@ from .sharding import (
     ShardedIngestReport,
     ShardRouter,
     pipeline_makespan,
-    sharded_channel,
 )
 
 __all__ = [
@@ -84,5 +83,4 @@ __all__ = [
     "ShardedIngestReport",
     "ShardRouter",
     "pipeline_makespan",
-    "sharded_channel",
 ]

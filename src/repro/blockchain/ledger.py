@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import LedgerError
@@ -21,7 +21,11 @@ from ..crypto.merkle import IncrementalMerkleTree, MerkleTree
 
 @dataclass(frozen=True)
 class Transaction:
-    """One ledger transaction: a chaincode invocation plus endorsements."""
+    """One ledger transaction: a chaincode invocation plus endorsements.
+
+    ``channel`` names a shard, and the payload covers it: shards share
+    the consortium's keys, so this keeps a signature made for one shard
+    from verifying on another.  An unnamed channel's payload omits it."""
 
     tx_id: str
     chaincode: str
@@ -30,20 +34,21 @@ class Transaction:
     submitter: str
     timestamp: float
     endorsements: Tuple[Tuple[str, bytes], ...] = ()  # (member_id, signature)
+    channel: Optional[str] = None
 
     def payload(self) -> bytes:
         """Canonical bytes that endorsers sign and blocks commit."""
-        return json.dumps(
-            {"tx": self.tx_id, "cc": self.chaincode, "method": self.method,
-             "args": self.args, "submitter": self.submitter,
-             "ts": self.timestamp},
-            sort_keys=True, separators=(",", ":")).encode()
+        body = {"tx": self.tx_id, "cc": self.chaincode, "method": self.method,
+                "args": self.args, "submitter": self.submitter,
+                "ts": self.timestamp}
+        if self.channel is not None:
+            body["channel"] = self.channel
+        return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
 
     def with_endorsements(
             self, endorsements: Iterable[Tuple[str, bytes]]) -> "Transaction":
-        return Transaction(self.tx_id, self.chaincode, self.method,
-                           dict(self.args), self.submitter, self.timestamp,
-                           tuple(endorsements))
+        return replace(self, args=dict(self.args),
+                       endorsements=tuple(endorsements))
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,21 @@ class Block:
 
 
 GENESIS_HASH = "0" * 64
+
+
+def _check_block(block: Block, height: int, prev_hash: str) -> List[bytes]:
+    """Raise :class:`LedgerError` unless ``block`` sits at ``height``
+    after ``prev_hash`` and its Merkle root and hash recompute; returns
+    its transaction payloads."""
+    if block.height != height or block.prev_hash != prev_hash:
+        raise LedgerError(f"chain linkage broken at height {height}")
+    payloads = [tx.payload() for tx in block.transactions]
+    if MerkleTree(payloads).root.hex() != block.merkle_root:
+        raise LedgerError(f"Merkle root mismatch at height {height}")
+    if Block.compute_hash(block.height, block.prev_hash, block.merkle_root,
+                          block.timestamp) != block.block_hash:
+        raise LedgerError(f"block hash mismatch at height {height}")
+    return payloads
 
 
 def build_block(height: int, prev_hash: str, timestamp: float,
@@ -113,19 +133,7 @@ class Ledger:
 
     def append(self, block: Block) -> None:
         """Append after validating linkage, height, and Merkle root."""
-        if block.height != self.height:
-            raise LedgerError(
-                f"block height {block.height} != expected {self.height}")
-        if block.prev_hash != self.tip_hash:
-            raise LedgerError("block does not link to the current tip")
-        payloads = [tx.payload() for tx in block.transactions]
-        tree = MerkleTree(payloads)
-        if tree.root.hex() != block.merkle_root:
-            raise LedgerError("block Merkle root mismatch")
-        expected = Block.compute_hash(block.height, block.prev_hash,
-                                      block.merkle_root, block.timestamp)
-        if expected != block.block_hash:
-            raise LedgerError("block hash mismatch")
+        payloads = _check_block(block, self.height, self.tip_hash)
         self._blocks.append(block)
         self._running.extend(payloads)
 
@@ -162,15 +170,7 @@ class Ledger:
     def verify(self) -> bool:
         """Re-walk the whole chain; raises LedgerError on any tamper."""
         prev = GENESIS_HASH
-        for i, block in enumerate(self._blocks):
-            if block.height != i or block.prev_hash != prev:
-                raise LedgerError(f"chain linkage broken at height {i}")
-            tree = MerkleTree([tx.payload() for tx in block.transactions])
-            if tree.root.hex() != block.merkle_root:
-                raise LedgerError(f"Merkle root mismatch at height {i}")
-            expected = Block.compute_hash(block.height, block.prev_hash,
-                                          block.merkle_root, block.timestamp)
-            if expected != block.block_hash:
-                raise LedgerError(f"block hash mismatch at height {i}")
+        for height, block in enumerate(self._blocks):
+            _check_block(block, height, prev)
             prev = block.block_hash
         return True

@@ -12,8 +12,8 @@ shards*:
   adding shards moves only ~1/N of the keys;
 * :class:`ShardedBlockchainNetwork` — N independent channels (each its
   own :class:`~repro.blockchain.network.OrderingService`, peers, ledger,
-  world state) over one shared :class:`~repro.cloudsim.clock.SimClock`
-  and monitoring service;
+  world state) over one consortium MSP, one shared
+  :class:`~repro.cloudsim.clock.SimClock` and monitoring service;
 * **fork-join + pipelined ingestion** — shards endorse and commit
   concurrently, and within a shard the endorsement of round ``k+1``
   overlaps the ordering/commit of round ``k``.  The simulated clock is
@@ -39,7 +39,8 @@ from ..core.errors import EndorsementError, LedgerError, ServiceUnavailableError
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
 from ..cloudsim.tracing import maybe_span
-from .network import BlockchainNetwork, EndorsementPolicy, build_channel
+from .network import (BlockchainNetwork, EndorsementPolicy, build_channel,
+                      consortium_msp)
 
 
 # Virtual points per shard on the consistent-hash ring.
@@ -149,29 +150,11 @@ class ShardedIngestReport:
         return self.serial_s / self.elapsed_s if self.elapsed_s > 0 else 1.0
 
 
-def sharded_channel(shard: int, seed: Optional[int] = 0,
-                    batch_size: int = 10,
-                    policy: Optional[EndorsementPolicy] = None,
-                    clock: Optional[SimClock] = None,
-                    monitoring: Optional[MonitoringService] = None,
-                    degraded_policy: Optional[EndorsementPolicy] = None
-                    ) -> BlockchainNetwork:
-    """One shard's channel: own MSP, peers, orderer, ledger, contracts.
-
-    Built by :func:`~repro.blockchain.network.build_channel`, as the
-    reference network is, under the shard's name.  The MSP seed is a
-    pure function of ``(seed, shard)``, so repeated builds reuse the
-    memoized keypairs.
-    """
-    return build_channel(None if seed is None else seed * 7919 + shard + 1,
-                         ShardedBlockchainNetwork.shard_name(shard),
-                         batch_size=batch_size, policy=policy, clock=clock,
-                         monitoring=monitoring,
-                         degraded_policy=degraded_policy)
-
-
 class ShardedBlockchainNetwork:
     """N shard channels behind a consistent-hash router, one shared clock.
+
+    Every shard's peers sign with one consortium MSP, enrolled once from
+    ``seed``; each transaction names its shard (see ``Transaction``).
 
     Single-shard traffic routes by key through :meth:`submit` /
     :meth:`query`; bulk ingestion goes through :meth:`ingest`, which
@@ -189,11 +172,12 @@ class ShardedBlockchainNetwork:
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(self.clock))
         self.router = ShardRouter(n_shards, seed=seed)
+        self.msp = consortium_msp(seed)
         self.channels: List[BlockchainNetwork] = [
-            sharded_channel(shard, seed=seed, batch_size=batch_size,
-                            policy=policy, clock=self.clock,
-                            monitoring=self.monitoring,
-                            degraded_policy=degraded_policy)
+            build_channel(self.msp, self.shard_name(shard),
+                          batch_size=batch_size, policy=policy,
+                          clock=self.clock, monitoring=self.monitoring,
+                          degraded_policy=degraded_policy)
             for shard in range(n_shards)
         ]
         self._tracer = None
@@ -261,8 +245,11 @@ class ShardedBlockchainNetwork:
         :func:`pipeline_makespan` (or the serial sum when ``pipelined``
         is off), and the shared clock advances once by the slowest
         shard's makespan — shards run concurrently, rounds overlap
-        within a shard.
+        within a shard.  A ``round_size`` below 1 raises
+        :class:`LedgerError` before anything is submitted.
         """
+        if round_size is not None and round_size < 1:
+            raise LedgerError(f"round size must be >= 1, got {round_size}")
         keyed = list(keyed_requests)
         start = self.clock.now
         assignment: Dict[int, List[Tuple[str, str, Dict[str, Any]]]] = {}

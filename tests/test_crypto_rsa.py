@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.blockchain.identity import MembershipServiceProvider
+from repro.blockchain.network import ORGANIZATIONS, consortium_msp
 from repro.core.errors import IntegrityError
 from repro.crypto import rsa
 from repro.crypto.rsa import (
@@ -117,21 +117,21 @@ class TestSearchOracle:
             assert _is_probable_prime(key.p) and _is_probable_prime(key.q)
 
     def test_matches_plain_search_on_msp_seeds(self):
-        # sharded_channel(shard, seed=1) seeds its MSP with
-        # 1 * 7919 + shard + 1, whose n-th enrolment draws its key from
+        # consortium_msp(seed=1), which every channel of a seed-1 network
+        # shares, enrols the four peer members, the ingestion service and
+        # the auditor; the n-th enrolment draws its key from
         # msp_seed * 65537 + n.
-        for shard in (0, 1):
-            msp_seed = 1 * 7919 + shard + 1
-            msp = MembershipServiceProvider(seed=msp_seed)
-            for counter in (1, 2, 3):
-                enrolled = msp.enroll(f"member-{counter}", "org")
-                key = generate_keypair(bits=1024,
-                                       seed=msp_seed * 65_537 + counter)
-                assert enrolled.public_key == key.public_key()
-                assert (key.n, key.e, key.d, key.p, key.q) == \
-                    _oracle_keypair(1024, msp_seed * 65_537 + counter)
-                assert (_is_probable_prime(key.p)
-                        and _is_probable_prime(key.q))
+        msp_seed = 1
+        msp = consortium_msp(seed=msp_seed)
+        members = ([f"peer.{org}" for org in ORGANIZATIONS]
+                   + ["ingestion-service", "auditor"])
+        for counter, member_id in enumerate(members, start=1):
+            key = generate_keypair(bits=1024,
+                                   seed=msp_seed * 65_537 + counter)
+            assert msp.identity(member_id).public_key == key.public_key()
+            assert (key.n, key.e, key.d, key.p, key.q) == \
+                _oracle_keypair(1024, msp_seed * 65_537 + counter)
+            assert _is_probable_prime(key.p) and _is_probable_prime(key.q)
 
 
 class _ScriptedRand:

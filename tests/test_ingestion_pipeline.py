@@ -370,6 +370,30 @@ class TestFrontendQueueDepthFreshness:
         assert frontend.pending_events == 4        # batches retained
         assert metrics.gauge("ingestion.queue_depth") == 4
 
+    def test_bad_round_size_keeps_queue_and_gauge(self):
+        # Regression: round_size=-1 reached the network, which committed
+        # nothing yet reported success, so the flush dropped its batches.
+        from repro.core.errors import LedgerError
+        network, frontend = self._frontend()
+        for i in range(6):
+            frontend.record_event(f"patient-{i:03d}", handle=f"h-{i}",
+                                  data_hash="aa", event="received",
+                                  actor="ingest")
+        metrics = network.monitoring.metrics
+        for round_size in (0, -1):
+            with pytest.raises(LedgerError):
+                frontend.flush(round_size=round_size)
+            assert frontend.pending_events == 6
+            assert metrics.gauge("ingestion.queue_depth") == 6
+        assert all(channel.peers[0].ledger.height == 0
+                   for channel in network.channels)
+        report = frontend.flush(round_size=1)
+        assert report is not None
+        assert frontend.pending_events == 0
+        assert sum(r.rounds for r in report.shard_reports.values()) == \
+            report.transactions
+        assert network.peers_converged()
+
     def test_retry_after_recovery_commits_and_zeroes_gauge(self):
         from repro.core.errors import EndorsementError
         network, frontend = self._frontend()

@@ -8,7 +8,8 @@ one cross-shard commit), and one ``HealthCloudPlatform`` ingestion round.
 Every peer of every channel must end on the recorded chain tip and
 running transaction root.  Transaction payloads do not cover their
 endorsements, so the signatures on each ledger are pinned by a digest of
-their own: it changes with any peer id, MSP seed or enrolment order.
+their own: it changes with any signing member id, MSP seed or enrolment
+order.
 
 A change to any constant here is a change to simulated output, and
 belongs in a commit that re-baselines the benchmarks.  The seeds are ones
@@ -33,13 +34,13 @@ GOLDEN = {
         "5764ecaa868827442c542ef7cc38a6f2287ef1b800c75b85bdd1afa3181f7fd7",
         "046abecab78b767c248080ee34c48ef3aef8c93124b062ba4d68cebd701dfd9b"),
     "shard-00": (
-        "5d371e9b79c7b05fc3098c430f5b045ec7f583beedce6ddb35eb7acda4e64731",
-        "73808ae76e7d2da545833fd3b61aac68e185adebd317b2ed8ed521f5f16ea354",
-        "ad69e924ed4084124313c6eb5ce66302e4aefe689ba1139aa70e505ca7d16ecb"),
+        "d11ac884ac4ef0a4e2dc53e50bca6099f8d44859f18a673063dabfb6737fb06e",
+        "ee0dffbfc7842b27ce9783646ec569c891964666b4855dddf155e72fab9ad6e2",
+        "6c0266cbbe8ec5b735de8c3d1fa9da95d569233e07cd8ccfdc8e364a1c78411f"),
     "shard-01": (
-        "4d4c9894874a1c0be1e93c06c45af8ac2fd00e76cff6085fd85367a0e6d94891",
-        "1dd80174017de1a1ef4f1808fdd7db6c7a5e73658c3c90bb9bafb3991f227d5d",
-        "d25a50d1cc7a9ec46acf01272c1aab33dbc2965eeed7d57e0ce804b3fdfc7210"),
+        "0e47ad2867632c9567e1c6658ec10115b879c4d33d135fd6f977926d9e7d79ec",
+        "0aa68dc414e7588b24cab6ba85b80ac0d969ca2345bc3af16818c4890a4c4a69",
+        "a3c1eb6d2403c0e5756f5ebe06bb5569864bb7c57bae5dd35d247323cea42b19"),
     "platform": (
         "221618de53454bed990c6186b4e7633b9553c1676574ab9c5dfe128b448cbf39",
         "4195419fc258c8af0aa3fd824168a369e0e1f7a7a3e6c16d42a98f5bb3cf75d1",

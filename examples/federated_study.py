@@ -17,7 +17,7 @@ import numpy as np
 
 from repro import HealthCloudPlatform
 from repro.analytics import DeltModel
-from repro.blockchain import standard_network
+from repro.blockchain import ShardedBlockchainNetwork
 from repro.compute import standard_scheduler
 from repro.core.api import ApiRequest
 from repro.federation import (
@@ -56,8 +56,8 @@ def main() -> None:
         print(f"{hospital.name}: {hospital.n_patients} patients, "
               f"{len(hospital.consented_patients(GROUP))} consented")
 
-    network = standard_network(seed=42, clock=platform.clock,
-                               monitoring=platform.monitoring)
+    network = ShardedBlockchainNetwork(1, seed=42, clock=platform.clock,
+                                       monitoring=platform.monitoring)
     scheduler = standard_scheduler(clock=platform.clock,
                                    monitoring=platform.monitoring)
     service = FederatedStudyService(

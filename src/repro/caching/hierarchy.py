@@ -133,7 +133,6 @@ class CacheHierarchy(Generic[K, V]):
 
     def __init__(self, levels: List[CacheLevel], origin: Origin,
                  clock: Optional[SimClock] = None,
-                 promote: bool = True,
                  negative_ttl_s: float = 0.0,
                  monitoring: Optional[MonitoringService] = None,
                  tracer: Optional[Tracer] = None) -> None:
@@ -144,7 +143,6 @@ class CacheHierarchy(Generic[K, V]):
         self.levels = list(levels)
         self.origin = origin
         self.clock = clock if clock is not None else SimClock()
-        self.promote = promote
         self.negative_ttl_s = negative_ttl_s
         self.monitoring = monitoring
         self.tracer = tracer
@@ -194,8 +192,7 @@ class CacheHierarchy(Generic[K, V]):
                 self.clock.advance(level.access_cost_s)
                 hit, value = level.cache.lookup(key)
                 if hit:
-                    if self.promote:
-                        self._fill(key, value, upto=depth)
+                    self._fill(key, value, upto=depth)
                     span.set_attribute("served_by", level.name)
                     span.set_attribute("hit_level", depth)
                     span.set_attribute("levels_probed", probed)
@@ -297,8 +294,7 @@ class CacheHierarchy(Generic[K, V]):
                 for key, value in hits.items():
                     values[key] = value
                     served[key] = level.name
-                    if self.promote:
-                        self._fill(key, value, upto=depth)
+                    self._fill(key, value, upto=depth)
                 remaining = [k for k in remaining if k not in hits]
 
         origin_keys = len(remaining)
@@ -404,12 +400,8 @@ class CacheHierarchy(Generic[K, V]):
             self.monitoring.metrics.incr(name, value)
 
     def _publish(self, kind: str, **attributes: Any) -> None:
-        """Emit a cache lifecycle event when a health plane is attached."""
-        if self.monitoring is None:
-            return
-        plane = self.monitoring.healthplane
-        if plane is not None:
-            plane.events.publish("cache", f"cache.{kind}", **attributes)
+        if self.monitoring is not None:
+            self.monitoring.publish("cache", f"cache.{kind}", **attributes)
 
     # -- reporting -----------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """The platform event stream: seeded, ordered pub/sub with bounded fans.
 
 Every layer of the platform emits structured lifecycle events — the
-gateway per request, the resilience executor per breaker transition and
-hedge, the cache hierarchy per origin fetch, the sharded blockchain per
-shard commit, the ingestion frontend per sealed batch.  An
+gateway per request, the resilience layer per breaker transition, the
+cache hierarchy per origin fetch, the sharded blockchain per shard
+commit, the ingestion frontend per sealed batch and flush, the compute
+scheduler per job, task and worker change.  An
 :class:`EventBus` gives them one ordered stream (the Ray-dashboard
 idiom: one place a dashboard, an autoscaler, or the compute
 orchestrator subscribes to), with the properties a simulation needs:

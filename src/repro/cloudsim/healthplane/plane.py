@@ -8,10 +8,13 @@
 * the metrics registry is bound to the series store, so every existing
   ``incr``/``observe``/``set_gauge`` call anywhere in the platform
   gains a time dimension without touching its call site;
-* instrumented layers (gateway, resilience executor, cache hierarchy,
-  sharded blockchain, ingestion frontend) reach the plane through the
-  ``monitoring.healthplane`` hook — ``None`` by default, same optional
-  pattern as the tracer and the fault plan;
+* instrumented layers (circuit breakers, cache hierarchy, ingestion
+  frontend, compute scheduler) publish lifecycle events through
+  :meth:`~repro.cloudsim.monitoring.MonitoringService.publish`, which
+  does nothing until a plane attaches — the same optional pattern as
+  the tracer and the fault plan.  The gateway and the sharded ingest
+  call :meth:`observe_request` and :meth:`observe_shard_commit`, which
+  also feed series and accounting;
 * :meth:`observe_request` is the gateway's one-call instrumentation
   point: labeled latency series, good/bad SLO counters, per-tenant and
   per-route accounting, and an ``api.request`` stream event;

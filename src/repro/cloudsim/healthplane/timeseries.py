@@ -37,6 +37,7 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from ...core.errors import ConfigurationError
 from ..clock import SimClock
+from ..monitoring import nearest_rank
 
 
 def series_key(name: str, labels: Optional[Mapping[str, str]] = None) -> str:
@@ -64,12 +65,6 @@ class WindowAggregate:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-
-def _pct(sorted_values: List[float], p: float) -> float:
-    """Nearest-rank percentile (same definition as MetricsRegistry)."""
-    n = len(sorted_values)
-    return sorted_values[min(n - 1, max(0, math.ceil(p * n) - 1))]
 
 
 class TimeSeries:
@@ -104,8 +99,8 @@ class TimeSeries:
             min=ordered[0],
             max=ordered[-1],
             last=self._live[-1],
-            p50=_pct(ordered, 0.50),
-            p99=_pct(ordered, 0.99),
+            p50=nearest_rank(ordered, 0.50),
+            p99=nearest_rank(ordered, 0.99),
         )
 
     def windows(self) -> List[WindowAggregate]:

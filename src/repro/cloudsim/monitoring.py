@@ -193,6 +193,17 @@ class LogStore:
         return True
 
 
+def nearest_rank(sorted_values: List[float], p: float) -> float:
+    """The p-th percentile of ascending samples, by nearest rank.
+
+    The value at rank ``ceil(p*n)`` (1-based) of n samples, i.e. index
+    ``ceil(p*n) - 1``; ``int(p*n)`` would overshoot by one rank (p50 of
+    ``[1.0, 2.0]`` would report the max).
+    """
+    n = len(sorted_values)
+    return sorted_values[min(n - 1, max(0, math.ceil(p * n) - 1))]
+
+
 class MetricsRegistry:
     """Counters, gauges, and latency histograms for platform services."""
 
@@ -250,29 +261,20 @@ class MetricsRegistry:
         return {"value": record[0], "trace_id": record[1]}
 
     def summary(self, name: str) -> Dict[str, float]:
-        """count/mean/min/max/p50/p95/p99 for a histogram.
-
-        Percentiles use the nearest-rank definition: the p-th percentile
-        of n sorted samples is the value at rank ``ceil(p*n)`` (1-based),
-        i.e. index ``ceil(p*n) - 1``.  The previous ``int(p*n)`` indexing
-        overshot by one rank — p50 of ``[1.0, 2.0]`` reported the max.
-        """
+        """count/mean/min/max/p50/p95/p99 for a histogram, with
+        :func:`nearest_rank` percentiles."""
         values = sorted(self._histograms.get(name, []))
         if not values:
             return {"count": 0}
         n = len(values)
-
-        def pct(p: float) -> float:
-            return values[min(n - 1, max(0, math.ceil(p * n) - 1))]
-
         return {
             "count": n,
             "mean": sum(values) / n,
             "min": values[0],
             "max": values[-1],
-            "p50": pct(0.50),
-            "p95": pct(0.95),
-            "p99": pct(0.99),
+            "p50": nearest_rank(values, 0.50),
+            "p95": nearest_rank(values, 0.95),
+            "p99": nearest_rank(values, 0.99),
         }
 
     def histogram_values(self, name: str) -> List[float]:
@@ -286,9 +288,9 @@ class MonitoringService:
         self.clock = clock if clock is not None else SimClock()
         self.logs = LogStore(self.clock)
         self.metrics = MetricsRegistry()
-        # Optional health control plane (repro.cloudsim.healthplane):
-        # instrumented components reach the plane through this hook, the
-        # same None-by-default pattern as tracer/fault_plan attributes.
+        # Optional health control plane (repro.cloudsim.healthplane),
+        # set when a HealthPlane attaches; None by default, like the
+        # tracer and fault_plan hooks.
         self.healthplane: Optional[Any] = None
 
     def log(self, stream: str, message: str, level: str = "INFO",
@@ -296,38 +298,10 @@ class MonitoringService:
         self.metrics.incr(f"log.{stream}.{level.lower()}")
         return self.logs.append(stream, message, level=level, **attributes)
 
-    def timed(self, metric: str,
-              trace_id: Optional[str] = None) -> "_Timer":
-        """Context manager measuring a simulated-time span.
+    def publish(self, source: str, kind: str, **attributes: Any) -> None:
+        """Emit a lifecycle event on the attached health plane's stream.
 
-        ``trace_id`` is threaded through to
-        :meth:`MetricsRegistry.observe`, so timer-recorded histograms
-        carry exemplars exactly like direct ``observe(trace_id=...)``
-        calls; it may also be set after entry via
-        :meth:`_Timer.set_trace` once a span id exists.
+        Does nothing when no plane is attached.
         """
-        return _Timer(self, metric, trace_id)
-
-
-class _Timer:
-    def __init__(self, monitoring: MonitoringService, metric: str,
-                 trace_id: Optional[str] = None) -> None:
-        self._monitoring = monitoring
-        self._metric = metric
-        self._trace_id = trace_id
-        self._start = 0.0
-
-    def set_trace(self, trace_id: Optional[str]) -> "_Timer":
-        """Late-bind the exemplar trace id (e.g. from a span opened
-        inside the timed block)."""
-        self._trace_id = trace_id
-        return self
-
-    def __enter__(self) -> "_Timer":
-        self._start = self._monitoring.clock.now
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        elapsed = self._monitoring.clock.now - self._start
-        self._monitoring.metrics.observe(self._metric, elapsed,
-                                         trace_id=self._trace_id)
+        if self.healthplane is not None:
+            self.healthplane.events.publish(source, kind, **attributes)

@@ -62,7 +62,7 @@ class TraceContext:
 
 @dataclass(frozen=True)
 class SpanEvent:
-    """A point-in-time annotation on a span (breaker trip, hedge, ...)."""
+    """A point-in-time annotation on a span (backoff, failover, ...)."""
 
     name: str
     timestamp_s: float
@@ -260,7 +260,7 @@ def maybe_span(tracer: Optional["Tracer"], name: str, layer: str,
     The single hook components call; ``tracer is None`` costs one
     comparison and no allocation.
     """
-    if tracer is None or not tracer.enabled:
+    if tracer is None:
         return NOOP_SPAN
     return tracer.span(name, layer, **attributes)
 
@@ -275,9 +275,8 @@ class Tracer:
     """
 
     def __init__(self, clock: Optional[SimClock] = None,
-                 enabled: bool = True, max_traces: int = 10_000) -> None:
+                 max_traces: int = 10_000) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.enabled = enabled
         self.max_traces = max_traces
         self._stack: List[Span] = []
         self._traces: Dict[str, Span] = {}      # finished, keyed by trace id
@@ -289,8 +288,6 @@ class Tracer:
 
     def span(self, name: str, layer: str, **attributes: Any) -> Any:
         """Open a span (context manager yielding the :class:`Span`)."""
-        if not self.enabled:
-            return NOOP_SPAN
         parent = self._stack[-1] if self._stack else None
         if parent is None:
             self._trace_counter += 1

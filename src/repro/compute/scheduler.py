@@ -156,7 +156,7 @@ class Scheduler:
     def __init__(self, pool: WorkerPool, clock: Optional[SimClock] = None,
                  monitoring: Optional[MonitoringService] = None,
                  tracer: Optional[Tracer] = None,
-                 fault_plan=None, events=None, *,
+                 fault_plan=None, *,
                  min_workers: int = 1, max_workers: int = 8,
                  tasks_per_worker: int = 4, queue_bound: int = 64,
                  schedule_cost_s: float = 0.0005,
@@ -175,7 +175,6 @@ class Scheduler:
         self.monitoring = monitoring
         self.tracer = tracer
         self.fault_plan = fault_plan
-        self.events = events
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.tasks_per_worker = tasks_per_worker
@@ -731,13 +730,8 @@ class Scheduler:
     # -- internals: observability --------------------------------------------
 
     def _publish(self, kind: str, **attributes: Any) -> None:
-        bus = self.events
-        if bus is None and self.monitoring is not None:
-            plane = self.monitoring.healthplane
-            if plane is not None:
-                bus = plane.events
-        if bus is not None:
-            bus.publish("compute", kind, **attributes)
+        if self.monitoring is not None:
+            self.monitoring.publish("compute", kind, **attributes)
 
     def _log(self, message: str, level: str = "INFO") -> None:
         if self.monitoring is not None:

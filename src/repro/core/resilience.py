@@ -1,4 +1,4 @@
-"""Platform-wide resilience policies: retries, breakers, failover, hedging.
+"""Platform-wide resilience policies: retries, breakers, failover.
 
 Every cross-component call in the platform (remote knowledge bases,
 external AI providers, blockchain endorsement, replicated storage) can
@@ -13,9 +13,8 @@ how a caller should absorb those failures:
   a retry storm;
 * a per-target **circuit breaker** (closed -> open on consecutive
   failures -> half-open probe after a cool-down -> closed on success);
-* an optional **hedged second request**: when the primary attempt fails
-  or runs slower than ``hedge_after_s``, the next fallback target is
-  tried immediately, without waiting out the backoff.
+* **failover**: once a target's attempts are spent, or its breaker is
+  open, the next fallback target is tried.
 
 :class:`ResilientExecutor` applies a policy to named operations and
 surfaces every retry / breaker transition / failover as a
@@ -48,7 +47,6 @@ class ResiliencePolicy:
     retry_budget: int = 10_000        # total retries this executor may spend
     breaker_failure_threshold: int = 5
     breaker_reset_s: float = 30.0
-    hedge_after_s: Optional[float] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -130,11 +128,9 @@ class CircuitBreaker:
             self.monitoring.log(
                 "resilience", f"breaker {self.name} -> {state.value}",
                 level="WARN" if state is BreakerState.OPEN else "INFO")
-            plane = self.monitoring.healthplane
-            if plane is not None:
-                plane.events.publish("resilience", "breaker.transition",
-                                     breaker=self.name, state=state.value,
-                                     failures=self._consecutive_failures)
+            self.monitoring.publish("resilience", "breaker.transition",
+                                    breaker=self.name, state=state.value,
+                                    failures=self._consecutive_failures)
 
 
 class ResilientExecutor:
@@ -176,7 +172,6 @@ class ResilientExecutor:
         """
         targets: list = [(name, fn)] + list(fallbacks)
         last_error: Optional[Exception] = None
-        hedged = False
         with maybe_span(self.tracer, f"resilience.{name}", "resilience",
                         target=name, fallbacks=len(fallbacks)) as span:
             for index, (target_name, target_fn) in enumerate(targets):
@@ -193,19 +188,9 @@ class ResilientExecutor:
                                        from_target=target_name)
                     continue
                 try:
-                    result = self._attempts(
-                        target_name, target_fn, breaker,
-                        hedge_remaining=index + 1 < len(targets))
+                    result = self._attempts(target_name, target_fn, breaker)
                     span.set_attribute("served_by", target_name)
                     return result
-                except _HedgeNow as hedge:
-                    last_error = hedge.error
-                    hedged = True
-                    self._metric("resilience.hedged")
-                    self._publish("hedge.fired", operation=name,
-                                  from_target=target_name)
-                    span.add_event("hedge.fired", self.clock.now,
-                                   from_target=target_name)
                 except Exception as exc:
                     last_error = exc
                 if index + 1 < len(targets):
@@ -213,13 +198,10 @@ class ResilientExecutor:
                     span.add_event("failover", self.clock.now,
                                    from_target=target_name)
             assert last_error is not None
-            if hedged:  # all hedge targets failed too
-                self._metric("resilience.hedge_failed")
-                span.add_event("hedge.failed", self.clock.now)
             raise last_error
 
     def _attempts(self, name: str, fn: Callable[[], Any],
-                  breaker: CircuitBreaker, hedge_remaining: bool) -> Any:
+                  breaker: CircuitBreaker) -> Any:
         policy = self.policy
         last_error: Optional[Exception] = None
         for attempt in range(policy.max_attempts):
@@ -265,35 +247,9 @@ class ResilientExecutor:
                     continue
                 breaker.record_success()
                 self._metric(f"resilience.{name}.success")
-                if (policy.hedge_after_s is not None and hedge_remaining
-                        and elapsed > policy.hedge_after_s):
-                    # Slow success: note that a hedge *would* have fired.
-                    # The result stands — sequential simulation can't race
-                    # them.
-                    self._metric("resilience.hedge_would_fire")
-                    self._publish("hedge.would_fire", operation=name,
-                                  elapsed_s=elapsed)
-                    span.add_event("hedge.would_fire", self.clock.now,
-                                   elapsed_s=elapsed)
                 return result
         assert last_error is not None
-        if policy.hedge_after_s is not None and hedge_remaining:
-            raise _HedgeNow(last_error)
         raise last_error
 
     def _metric(self, name: str) -> None:
         self.monitoring.metrics.incr(name)
-
-    def _publish(self, kind: str, **attributes: Any) -> None:
-        """Emit a lifecycle event when a health plane is attached."""
-        plane = self.monitoring.healthplane
-        if plane is not None:
-            plane.events.publish("resilience", kind, **attributes)
-
-
-class _HedgeNow(Exception):
-    """Internal: primary exhausted, jump to the hedge target immediately."""
-
-    def __init__(self, error: Exception) -> None:
-        super().__init__(str(error))
-        self.error = error

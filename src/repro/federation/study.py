@@ -30,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..blockchain.sharding import ShardedBlockchainNetwork
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
 from ..cloudsim.tracing import maybe_span
@@ -82,7 +83,8 @@ class DeltStudyConfig:
 class FederatedStudyService:
     """Coordinates studies across institutions, a ledger, and a scheduler."""
 
-    def __init__(self, *, clock: SimClock, network: Any,
+    def __init__(self, *, clock: SimClock,
+                 network: ShardedBlockchainNetwork,
                  scheduler: Scheduler,
                  institutions: Sequence[Institution],
                  monitoring: Optional[MonitoringService] = None,
@@ -103,21 +105,14 @@ class FederatedStudyService:
         self._results: Dict[str, Any] = {}
         self._counter = 0
 
-    # -- ledger plumbing (sharded and single-channel networks) ---------------
-
-    def _is_sharded(self) -> bool:
-        return hasattr(self.network, "channel_for")
+    # -- ledger plumbing -----------------------------------------------------
 
     def _invoke(self, routing_key: str, method: str, **args: Any) -> Any:
-        if self._is_sharded():
-            channel = self.network.channel_for(routing_key)
-            return channel.invoke(COORDINATOR_ID, "study", method, **args)
-        return self.network.invoke(COORDINATOR_ID, "study", method, **args)
+        channel = self.network.channel_for(routing_key)
+        return channel.invoke(COORDINATOR_ID, "study", method, **args)
 
     def _query(self, routing_key: str, method: str, **args: Any) -> Any:
-        if self._is_sharded():
-            return self.network.query(routing_key, "study", method, **args)
-        return self.network.query("study", method, **args)
+        return self.network.query(routing_key, "study", method, **args)
 
     def _record_commitments(self, study_id: str,
                             uploads: Sequence[MaskedUpload]) -> None:
@@ -129,15 +124,10 @@ class FederatedStudyService:
                     "commitment": upload.commitment(),
                     "committed_at": upload.created_at}
             requests.append(("study", "record_commitment", args))
-        if self._is_sharded():
-            # All of a study's records share its routing key, so the whole
-            # batch lands (pipelined) on the study's home shard.
-            self.network.ingest(
-                COORDINATOR_ID,
-                [(study_id, request) for request in requests])
-        else:
-            self.network.submit_batch(COORDINATOR_ID, requests)
-            self.network.flush()
+        # All of a study's records share its routing key, so the whole
+        # batch lands (pipelined) on the study's home shard.
+        self.network.ingest(COORDINATOR_ID,
+                            [(study_id, request) for request in requests])
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -33,6 +33,7 @@ from ..cloudsim.monitoring import MonitoringService
 from ..cloudsim.tracing import maybe_span
 from ..core.errors import (
     AuthenticationError,
+    HealthCloudError,
     IngestionError,
     NotFoundError,
 )
@@ -478,9 +479,9 @@ class ShardedIngestionFrontend:
                     f"-{self._batch_counter:06d}")
         self._sealed.append((routing_key, batch.request(batch_id)))
         self._sealed_events += len(batch)
-        self._publish("ingestion.batch_sealed",
-                      shard=self.network.shard_name(shard),
-                      batch=batch_id, events=len(batch))
+        self.monitoring.publish("ingestion", "ingestion.batch_sealed",
+                                shard=self.network.shard_name(shard),
+                                batch=batch_id, events=len(batch))
 
     def flush(self, round_size: Optional[int] = None,
               pipelined: bool = True) -> Optional[ShardedIngestReport]:
@@ -492,9 +493,10 @@ class ShardedIngestionFrontend:
         there was nothing to commit.
 
         The queue state (and its ``ingestion.queue_depth`` gauge) is
-        only cleared after the ingest succeeds: a failed ingest keeps
-        the sealed batches queued, so the gauge reflects the events
-        still awaiting commit and a later :meth:`flush` retries them.
+        only cleared after the ingest succeeds.  A failed ingest keeps
+        the sealed batches that did not commit (shards commit one after
+        another, so some may have), the gauge counts their events, and
+        a later :meth:`flush` retries them.
         """
         for shard in sorted(self._buffers):
             self._seal(shard)
@@ -502,18 +504,32 @@ class ShardedIngestionFrontend:
             self.monitoring.metrics.set_gauge("ingestion.queue_depth", 0)
             return None
         sealed = list(self._sealed)
-        self._publish("ingestion.flush", batches=len(sealed),
-                      events=self._sealed_events)
-        report = self.network.ingest(SUBMITTER, sealed,
-                                     round_size=round_size,
-                                     pipelined=pipelined)
+        self.monitoring.publish("ingestion", "ingestion.flush",
+                                batches=len(sealed),
+                                events=self._sealed_events)
+        try:
+            report = self.network.ingest(SUBMITTER, sealed,
+                                         round_size=round_size,
+                                         pipelined=pipelined)
+        except HealthCloudError:
+            self._drop_committed()
+            raise
         self._sealed = []
         self._sealed_events = 0
         self.monitoring.metrics.set_gauge("ingestion.queue_depth", 0)
         return report
 
-    def _publish(self, kind: str, **attributes: Any) -> None:
-        """Emit a lifecycle event when a health plane is attached."""
-        plane = self.monitoring.healthplane
-        if plane is not None:
-            plane.events.publish("ingestion", kind, **attributes)
+    def _drop_committed(self) -> None:
+        """Unqueue the sealed batches a failed ingest committed anyway.
+
+        A retry must not resubmit them: their shard's peers refuse a
+        batch id already recorded, which would fail every later flush.
+        """
+        self._sealed = [
+            (key, request) for key, request in self._sealed
+            if self.network.query(key, "provenance", "get_batch",
+                                  batch_id=request[2]["batch_id"]) is None]
+        self._sealed_events = sum(len(request[2]["events"])
+                                  for _, request in self._sealed)
+        self.monitoring.metrics.set_gauge("ingestion.queue_depth",
+                                          self.pending_events)

@@ -1,4 +1,4 @@
-"""Knowledge bases: synthetic universe, KB interfaces, remote+cache, NLP.
+"""Knowledge bases: synthetic universe, KB interfaces, remote access, NLP.
 
 Substitutes the paper's external resources (DisGeNet, PubChem, DrugBank,
 SIDER, PubMed, WordNet) with synthetic equivalents carrying the same
@@ -13,7 +13,7 @@ from .bases import (
     SiderLike,
     WordNetLite,
 )
-from .remote import CachedKnowledgeBase, RemoteKnowledgeBase
+from .remote import RemoteKnowledgeBase
 from .synthetic import (
     Abstract,
     BioUniverse,
@@ -30,7 +30,6 @@ __all__ = [
     "PubMedLite",
     "SiderLike",
     "WordNetLite",
-    "CachedKnowledgeBase",
     "RemoteKnowledgeBase",
     "Abstract",
     "BioUniverse",

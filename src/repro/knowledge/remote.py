@@ -1,4 +1,4 @@
-"""Remote access and local caching of knowledge bases (Section III).
+"""Remote access to knowledge bases (Section III).
 
 "We cache data from these knowledge bases locally.  That way, data can be
 accessed and analyzed more quickly than if it needs to be fetched
@@ -6,18 +6,20 @@ remotely.  For the most up-to-date data, the remote knowledge bases can be
 directly queried."
 
 :class:`RemoteKnowledgeBase` wraps any KB object, charging simulated WAN
-latency for every method call.  :class:`CachedKnowledgeBase` puts a local
-cache in front, keyed by (method, args), with an explicit ``refresh`` path
-for callers that need the most up-to-date values.
+latency for every method call; calling it is the paper's direct query.
+The local cache is a :class:`~repro.caching.hierarchy.CacheHierarchy`
+over an :class:`~repro.caching.hierarchy.Origin` whose loaders call
+:meth:`RemoteKnowledgeBase.call` and :meth:`RemoteKnowledgeBase.call_batch`:
+it ships residual misses as one batch, and ``invalidate`` followed by
+``get`` refreshes a key from the remote.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Hashable, Optional, Sequence, Tuple
 
 from ..cloudsim.clock import SimClock, WAN_ROUND_TRIP
 from ..cloudsim.tracing import maybe_span
-from ..caching.policies import Cache, LruCache
 from ..core.errors import ServiceUnavailableError
 
 
@@ -110,74 +112,3 @@ class RemoteKnowledgeBase:
             self.remote_calls += 1
             self.batched_items += len(items)
             return result
-
-
-class CachedKnowledgeBase:
-    """Local cache in front of a remote KB.
-
-    Cache keys are (method, args); values are whatever the KB returned.
-    ``get`` serves from cache when possible; ``refresh`` always goes to the
-    remote (the paper's "most up-to-date" path) and re-fills the cache.
-    """
-
-    def __init__(self, remote: RemoteKnowledgeBase,
-                 cache: Optional[Cache] = None,
-                 local_access_s: float = 50e-6) -> None:
-        self._remote = remote
-        self._cache: Cache = cache if cache is not None else LruCache(4096)
-        self.local_access_s = local_access_s
-        self.clock = remote.clock
-
-    def get(self, method: str, *args: Hashable) -> Any:
-        """Cached lookup; falls through to the remote on a miss."""
-        key: Tuple = (method, args)
-        self.clock.advance(self.local_access_s)
-        hit, value = self._cache.lookup(key)
-        if hit:
-            return value
-        value = self._remote.call(method, *args)
-        self._cache.put(key, value)
-        return value
-
-    def get_many(self, method: str, items: Sequence[Hashable],
-                 batch_method: str) -> Dict[Hashable, Any]:
-        """Bulk cached lookup: residual misses ship as *one* batched request.
-
-        ``method`` names the single-item call (its cache keys are shared
-        with :meth:`get`); ``batch_method`` names the KB's bulk variant,
-        which must return a dict keyed by item.
-        """
-        self.clock.advance(self.local_access_s)   # one local probe per batch
-        results: Dict[Hashable, Any] = {}
-        misses: List[Hashable] = []
-        pending = set()
-        for item in items:
-            if item in results or item in pending:
-                continue   # duplicate within the batch: coalesced
-            hit, value = self._cache.lookup((method, (item,)))
-            if hit:
-                results[item] = value
-            else:
-                misses.append(item)
-                pending.add(item)
-        if misses:
-            fetched = self._remote.call_batch(batch_method, misses)
-            for item in misses:
-                value = fetched[item]
-                self._cache.put((method, (item,)), value)
-                results[item] = value
-        return {item: results[item] for item in items}
-
-    def refresh(self, method: str, *args: Hashable) -> Any:
-        """Bypass the cache for the freshest value, then re-fill."""
-        value = self._remote.call(method, *args)
-        self._cache.put((method, args), value)
-        return value
-
-    @property
-    def hit_ratio(self) -> float:
-        return self._cache.stats.hit_ratio
-
-    @property
-    def remote_calls(self) -> int:
-        return self._remote.remote_calls

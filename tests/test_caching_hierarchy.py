@@ -8,7 +8,7 @@ from repro.cloudsim.clock import SimClock
 from repro.core.errors import ConfigurationError
 
 
-def make_hierarchy(client_size=4, server_size=16, promote=True):
+def make_hierarchy(client_size=4, server_size=16):
     clock = SimClock()
     hierarchy = CacheHierarchy(
         levels=[
@@ -18,7 +18,6 @@ def make_hierarchy(client_size=4, server_size=16, promote=True):
         origin=Origin("kb", loader=lambda k: f"value-{k}",
                       access_cost_s=80e-3),
         clock=clock,
-        promote=promote,
     )
     return hierarchy
 
@@ -58,15 +57,6 @@ class TestLookups:
         hierarchy.get("x")   # served by server, promoted back to client
         result = hierarchy.get("x")
         assert result.served_by == "client"
-
-    def test_no_promotion_mode(self):
-        # promote=False disables hit-path promotion: a value evicted from
-        # the client and later served by the server stays at the server.
-        hierarchy = make_hierarchy(client_size=1, promote=False)
-        hierarchy.get("x")
-        hierarchy.get("y")          # evicts x from the 1-slot client
-        assert hierarchy.get("x").served_by == "server"
-        assert hierarchy.get("x").served_by == "server"  # still not promoted
 
     def test_latency_accumulates_per_level(self):
         hierarchy = make_hierarchy()

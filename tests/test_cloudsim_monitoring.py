@@ -208,12 +208,6 @@ class TestMonitoringService:
         monitoring.log("ingest", "hello", level="WARN")
         assert monitoring.metrics.counter("log.ingest.warn") == 1
 
-    def test_timed_context(self):
-        monitoring = MonitoringService()
-        with monitoring.timed("span"):
-            monitoring.clock.advance(2.0)
-        assert monitoring.metrics.summary("span")["max"] == pytest.approx(2.0)
-
 
 class TestScrubSets:
     def test_set_elements_scrubbed_in_place(self):
@@ -291,28 +285,6 @@ class TestLogEntriesIndexedFiltering:
                  ("DEBUG", "INFO", "WARN", "ERROR", "CRITICAL")]
         assert ranks == sorted(ranks)
         assert len(set(ranks)) == len(ranks)
-
-
-class TestTimedExemplars:
-    def test_timed_threads_trace_id_to_exemplar(self):
-        monitoring = MonitoringService()
-        with monitoring.timed("lat", trace_id="t-00000042"):
-            monitoring.clock.advance(1.5)
-        assert monitoring.metrics.exemplar("lat") == {
-            "value": 1.5, "trace_id": "t-00000042"}
-
-    def test_set_trace_late_binds_inside_the_block(self):
-        monitoring = MonitoringService()
-        with monitoring.timed("lat") as timer:
-            timer.set_trace("t-00000007")
-            monitoring.clock.advance(0.25)
-        assert monitoring.metrics.exemplar("lat")["trace_id"] == "t-00000007"
-
-    def test_untraced_timer_leaves_no_exemplar(self):
-        monitoring = MonitoringService()
-        with monitoring.timed("lat"):
-            monitoring.clock.advance(1.0)
-        assert monitoring.metrics.exemplar("lat") is None
 
 
 class TestSeriesBinding:

@@ -214,16 +214,6 @@ class TestResilientExecutor:
         assert executor.monitoring.metrics.counter(
             "resilience.a.rejected_open") == 1.0
 
-    def test_hedged_request_jumps_to_fallback(self):
-        executor = self._executor(max_attempts=2, hedge_after_s=0.05)
-
-        def dead():
-            raise ServiceUnavailableError("primary down")
-
-        result = executor.call("a", dead, fallbacks=[("b", lambda: "hedge")])
-        assert result == "hedge"
-        assert executor.monitoring.metrics.counter("resilience.hedged") == 1.0
-
     def test_breaker_instances_are_cached_per_target(self):
         executor = self._executor()
         assert executor.breaker("x") is executor.breaker("x")

@@ -15,7 +15,7 @@ from repro.analytics.similarity import (
     DiseaseSimilarityBuilder,
     DrugSimilarityBuilder,
 )
-from repro.blockchain import standard_network
+from repro.blockchain import ShardedBlockchainNetwork
 from repro.cloudsim.clock import SimClock
 from repro.compute.scheduler import standard_scheduler
 from repro.federation import (
@@ -52,7 +52,7 @@ def run_study(service, analysis, participants, threshold=None):
 
 def build_service(institutions, seed=9, jmf_config=None, delt_config=None):
     clock = institutions[0].clock
-    network = standard_network(seed=seed, clock=clock)
+    network = ShardedBlockchainNetwork(1, seed=seed, clock=clock)
     scheduler = standard_scheduler(clock=clock)
     return FederatedStudyService(
         clock=clock, network=network, scheduler=scheduler,

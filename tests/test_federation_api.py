@@ -9,7 +9,7 @@ every verb.
 import pytest
 
 from repro import HealthCloudPlatform
-from repro.blockchain import standard_network
+from repro.blockchain import ShardedBlockchainNetwork
 from repro.compute import standard_scheduler
 from repro.core.api import ApiRequest
 from repro.federation import (
@@ -46,8 +46,8 @@ def world():
                                  seed=7)
     institutions = build_institutions(3, platform.clock, GROUP,
                                       patients=cohort.patients, seed=7)
-    network = standard_network(seed=77, clock=platform.clock,
-                               monitoring=platform.monitoring)
+    network = ShardedBlockchainNetwork(1, seed=77, clock=platform.clock,
+                                       monitoring=platform.monitoring)
     scheduler = standard_scheduler(clock=platform.clock,
                                    monitoring=platform.monitoring)
     service = FederatedStudyService(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.blockchain import standard_network
 from repro.blockchain.sharding import ShardedBlockchainNetwork
 from repro.cloudsim.clock import SimClock
 from repro.cloudsim.faults import FaultPlan
@@ -32,12 +31,8 @@ def build_world(n_institutions=3, sharded=False, seed=5, n_patients=24,
                                  n_lowering=2, seed=seed)
     institutions = build_institutions(n_institutions, clock, GROUP,
                                       patients=cohort.patients, seed=seed)
-    if sharded:
-        network = ShardedBlockchainNetwork(2, seed=seed, clock=clock,
-                                           monitoring=monitoring)
-    else:
-        network = standard_network(seed=seed, clock=clock,
-                                   monitoring=monitoring)
+    network = ShardedBlockchainNetwork(2 if sharded else 1, seed=seed,
+                                       clock=clock, monitoring=monitoring)
     network.tracer = tracer
     scheduler = standard_scheduler(clock=clock, monitoring=monitoring,
                                    tracer=tracer)
@@ -147,10 +142,10 @@ class TestThresholdOnChain:
         study_id = propose(service, threshold=2)
         service.approve(study_id, "inst-00")  # one short of threshold
         with pytest.raises(EndorsementError):
-            network.invoke(COORDINATOR_ID, "study", "record_commitment",
-                           study_id=study_id, round_tag="r0",
-                           institution="inst-00", commitment="deadbeef",
-                           committed_at=0.0)
+            network.channel_for(study_id).invoke(
+                COORDINATOR_ID, "study", "record_commitment",
+                study_id=study_id, round_tag="r0", institution="inst-00",
+                commitment="deadbeef", committed_at=0.0)
         assert service.ledger_commitments(study_id) == {}
 
     def test_commitment_accepted_after_threshold(self):
@@ -158,10 +153,10 @@ class TestThresholdOnChain:
         study_id = propose(service, threshold=2)
         service.approve(study_id, "inst-00")
         service.approve(study_id, "inst-01")
-        network.invoke(COORDINATOR_ID, "study", "record_commitment",
-                       study_id=study_id, round_tag="r0",
-                       institution="inst-00", commitment="deadbeef",
-                       committed_at=0.0)
+        network.channel_for(study_id).invoke(
+            COORDINATOR_ID, "study", "record_commitment",
+            study_id=study_id, round_tag="r0", institution="inst-00",
+            commitment="deadbeef", committed_at=0.0)
         commits = service.ledger_commitments(study_id)
         assert [c["commitment"] for c in commits.values()] == ["deadbeef"]
 
@@ -171,10 +166,10 @@ class TestThresholdOnChain:
                            participants=["inst-00", "inst-01"])
         service.approve(study_id, "inst-00")
         with pytest.raises(EndorsementError):
-            network.invoke(COORDINATOR_ID, "study", "record_commitment",
-                           study_id=study_id, round_tag="r0",
-                           institution="inst-03", commitment="deadbeef",
-                           committed_at=0.0)
+            network.channel_for(study_id).invoke(
+                COORDINATOR_ID, "study", "record_commitment",
+                study_id=study_id, round_tag="r0", institution="inst-03",
+                commitment="deadbeef", committed_at=0.0)
 
 
 class TestRunEndToEnd:

@@ -156,10 +156,9 @@ class TestResilienceFeed:
         clock = SimClock()
         monitoring = MonitoringService(clock)
         plane = HealthPlane(monitoring)
-        sub = plane.events.subscribe("dash", kinds=["breaker", "hedge"])
+        sub = plane.events.subscribe("dash", kinds=["breaker"])
         policy = ResiliencePolicy(max_attempts=1,
-                                  breaker_failure_threshold=2,
-                                  hedge_after_s=0.5)
+                                  breaker_failure_threshold=2)
         executor = ResilientExecutor(policy, clock, monitoring)
 
         def boom():
@@ -170,22 +169,6 @@ class TestResilienceFeed:
                 executor.call("kb", boom, fallbacks=[("kb2", boom)])
         kinds = [e.kind for e in sub.poll()]
         assert "breaker.transition" in kinds
-        assert "hedge.fired" in kinds
-
-    def test_slow_success_publishes_would_fire(self):
-        clock = SimClock()
-        monitoring = MonitoringService(clock)
-        plane = HealthPlane(monitoring)
-        sub = plane.events.subscribe("dash", kinds=["hedge"])
-        policy = ResiliencePolicy(timeout_s=10.0, hedge_after_s=0.1)
-        executor = ResilientExecutor(policy, clock, monitoring)
-
-        def slow():
-            clock.advance(0.5)
-            return "ok"
-
-        assert executor.call("kb", slow, fallbacks=[("kb2", slow)]) == "ok"
-        assert [e.kind for e in sub.poll()] == ["hedge.would_fire"]
 
 
 class TestCacheFeed:

@@ -411,3 +411,36 @@ class TestFrontendQueueDepthFreshness:
         assert frontend.pending_events == 0
         assert network.monitoring.metrics.gauge("ingestion.queue_depth") == 0
         assert network.peers_converged()
+
+    def test_partly_failed_flush_retries_only_uncommitted_batches(self):
+        # Regression: shard-00 committed and shard-01 failed, but both
+        # sealed batches stayed queued.  Every retry resubmitted
+        # shard-00's batch, which its peers refuse as already recorded,
+        # so shard-01's events never committed.
+        from repro.core.errors import EndorsementError
+        network, frontend = self._frontend()
+        keys = {0: "patient-001", 1: "patient-000"}
+        assert {network.router.shard_for(k) for k in keys.values()} == {0, 1}
+        for shard, key in keys.items():
+            for i in range(2):
+                frontend.record_event(key, handle=f"h-{shard}-{i}",
+                                      data_hash="aa", event="received",
+                                      actor="ingest")
+        self._crash_shard(network, 1)
+        with pytest.raises(EndorsementError):
+            frontend.flush()
+        assert [c.peers[0].ledger.height for c in network.channels] == [1, 0]
+        metrics = network.monitoring.metrics
+        assert frontend.pending_events == 2        # shard-01's only
+        assert metrics.gauge("ingestion.queue_depth") == 2
+        network.clock.advance(2_000.0)             # peers recover
+        report = frontend.flush()
+        assert report is not None and report.transactions == 1
+        assert list(report.shard_reports) == ["shard-01"]
+        assert frontend.pending_events == 0
+        assert metrics.gauge("ingestion.queue_depth") == 0
+        history = network.query(keys[1], "provenance", "get_history",
+                                handle="h-1-0")
+        assert len(history) == 1
+        assert history[0]["meta"]["batch"].startswith("shardbatch-shard-01-")
+        assert network.peers_converged()

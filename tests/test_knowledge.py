@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.caching.hierarchy import CacheHierarchy, CacheLevel, Origin
+from repro.caching.policies import LruCache
 from repro.cloudsim.clock import SimClock
 from repro.core.errors import NotFoundError
 from repro.knowledge.bases import (
@@ -13,7 +15,7 @@ from repro.knowledge.bases import (
     SiderLike,
     WordNetLite,
 )
-from repro.knowledge.remote import CachedKnowledgeBase, RemoteKnowledgeBase
+from repro.knowledge.remote import RemoteKnowledgeBase
 from repro.knowledge.synthetic import generate_universe
 from repro.knowledge.textmining import FactExtractor
 
@@ -105,6 +107,15 @@ class TestKbInterfaces:
         assert "drug" in expanded
 
 
+def local_cache(remote, method):
+    """A one-level local cache over one remote KB method."""
+    return CacheHierarchy(
+        [CacheLevel("local", LruCache(4096), access_cost_s=50e-6)],
+        Origin(remote.name, loader=lambda key: remote.call(method, key),
+               access_cost_s=0.0),
+        clock=remote.clock)
+
+
 class TestRemoteAndCached:
     def test_remote_charges_latency(self, universe):
         clock = SimClock()
@@ -117,21 +128,22 @@ class TestRemoteAndCached:
     def test_cache_avoids_remote(self, universe):
         clock = SimClock()
         remote = RemoteKnowledgeBase(DrugBankLike(universe), clock)
-        cached = CachedKnowledgeBase(remote)
+        cached = local_cache(remote, "targets")
         drug = universe.drugs[0].drug_id
-        first = cached.get("targets", drug)
+        first = cached.get(drug).value
         t_after_first = clock.now
-        second = cached.get("targets", drug)
+        second = cached.get(drug).value
         assert first == second
         assert remote.remote_calls == 1
         assert clock.now - t_after_first < 1e-3  # local access only
 
     def test_refresh_bypasses_cache(self, universe):
         remote = RemoteKnowledgeBase(DrugBankLike(universe))
-        cached = CachedKnowledgeBase(remote)
+        cached = local_cache(remote, "targets")
         drug = universe.drugs[0].drug_id
-        cached.get("targets", drug)
-        cached.refresh("targets", drug)
+        cached.get(drug)
+        cached.invalidate(drug)    # the freshest value: back to the remote
+        cached.get(drug)
         assert remote.remote_calls == 2
 
 

@@ -16,7 +16,7 @@ from repro.cloudsim.network import NetworkFabric
 from repro.core.errors import NotFoundError, ServiceUnavailableError
 from repro.core.resilience import ResiliencePolicy, ResilientExecutor
 from repro.knowledge.bases import DrugBankLike, PubChemLike, PubMedLite
-from repro.knowledge.remote import CachedKnowledgeBase, RemoteKnowledgeBase
+from repro.knowledge.remote import RemoteKnowledgeBase
 
 CLIENT_COST = 50e-6
 SERVER_COST = 2e-3
@@ -306,15 +306,22 @@ class TestBulkKnowledgeBases:
     def test_cached_get_many_batches_misses(self, universe):
         clock = SimClock()
         remote = RemoteKnowledgeBase(DrugBankLike(universe), clock)
-        cached = CachedKnowledgeBase(remote)
+        cached = CacheHierarchy(
+            [CacheLevel("local", LruCache(4096), CLIENT_COST)],
+            Origin("drugbank",
+                   loader=lambda key: remote.call("targets", key),
+                   batch_loader=lambda keys: remote.call_batch(
+                       "targets_many", keys),
+                   access_cost_s=0.0),
+            clock=clock)
         ids = [d.drug_id for d in universe.drugs[:6]]
-        cached.get("targets", ids[0])             # warm one key singly
-        result = cached.get_many("targets", ids, batch_method="targets_many")
+        cached.get(ids[0])                        # warm one key singly
+        result = cached.get_many(ids)
         assert remote.remote_calls == 2           # 1 single + 1 batch
         assert remote.batched_items == 5          # only the misses shipped
-        assert result[ids[0]] == cached.get("targets", ids[0])
+        assert result.values[ids[0]] == cached.get(ids[0]).value
         # Everything is now cached: no further remote traffic.
-        cached.get_many("targets", ids, batch_method="targets_many")
+        cached.get_many(ids)
         assert remote.remote_calls == 2
 
 

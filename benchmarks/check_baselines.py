@@ -1,18 +1,22 @@
-"""Check the committed simulated outputs of the P1 and P3–P10 benchmarks.
+"""Check the committed simulated outputs of the benchmarks.
 
-Reruns each bench in ``--quick`` mode into a temporary file and
-byte-compares it with its committed copy under ``benchmarks/baselines/``.
-Every field that differs is printed as a dotted path with the committed
-and the fresh value, and the script exits non-zero on any difference or
-on a bench that fails.  A change that moves simulated output regenerates
-the committed files in the same commit, so ``git diff`` records what
-moved::
+Reruns each of the P1 and P3–P10 benches in ``--quick`` mode into a
+temporary file and byte-compares it with its committed copy under
+``benchmarks/baselines/``.  Every field that differs is printed as a
+dotted path with the committed and the fresh value.  Then runs each
+``perfbench`` workload to its sim digest, on the seed recorded in
+``baselines/perfbench_digests.json``, and compares the digest that
+``perfbench/run.py`` prints with the committed one.  The script exits
+non-zero on any difference or on a run that fails.  A change that moves
+simulated output regenerates the committed files in the same commit, so
+``git diff`` records what moved::
 
     PYTHONPATH=src python benchmarks/check_baselines.py
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -20,7 +24,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 BASELINES = HERE / "baselines"
-SRC = HERE.parent / "src"
+ROOT = HERE.parent
+SRC = ROOT / "src"
+PERFBENCH_DIGESTS = BASELINES / "perfbench_digests.json"
 
 # bench script -> the JSON it writes with ``--quick``.
 BENCHES = (
@@ -83,21 +89,48 @@ def check(bench, output, workdir):
     return [f"{where}: {old!r} -> {new!r}" for where, old, new in diffs]
 
 
+def check_perfbench(workload, seed, committed):
+    """Run one perfbench workload up to its sim digest (``--seconds 0``
+    stops right after it); return the lines describing how it differs."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", workload, "--seed", str(seed), "--seconds", "0"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True)
+    if run.returncode != 0:
+        return [f"exited {run.returncode}:", run.stdout[-2000:]]
+    printed = re.search(r"; sim digest (\w+)$", run.stdout, re.MULTILINE)
+    if printed is None:
+        return ["printed no sim digest"]
+    if printed.group(1) != committed:
+        return [f"sim digest (seed {seed}): {committed!r} -> "
+                f"{printed.group(1)!r}"]
+    return []
+
+
+def report(name, lines):
+    """Print one output's verdict and its differences; True if it differs."""
+    print(f"{name}: {'differs' if lines else 'identical'}", flush=True)
+    for line in lines:
+        print(f"    {line}")
+    return bool(lines)
+
+
 def main():
-    failed = 0
+    perfbench = json.loads(PERFBENCH_DIGESTS.read_text())
+    verdicts = []
     with tempfile.TemporaryDirectory() as workdir:
         for bench, output in BENCHES:
-            lines = check(bench, output, workdir)
-            print(f"{bench}: {'differs' if lines else 'identical'}",
-                  flush=True)
-            for line in lines:
-                print(f"    {line}")
-            failed += bool(lines)
+            verdicts.append(report(bench, check(bench, output, workdir)))
+    for workload, digest in perfbench["digests"].items():
+        verdicts.append(report(f"perfbench {workload}", check_perfbench(
+            workload, perfbench["seed"], digest)))
+    failed = sum(verdicts)
     if failed:
-        print(f"{failed} of {len(BENCHES)} outputs differ from "
-              f"{BASELINES.relative_to(HERE.parent)}/")
+        print(f"{failed} of {len(verdicts)} outputs differ from "
+              f"{BASELINES.relative_to(ROOT)}/")
         return 1
-    print(f"all {len(BENCHES)} outputs match their baselines")
+    print(f"all {len(verdicts)} outputs match their baselines")
     return 0
 
 

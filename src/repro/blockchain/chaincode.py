@@ -21,10 +21,10 @@ design decision" the paper explicitly allows):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.canonical import canonical_json
 from ..core.errors import LedgerError, StudyError, ValidationError
 from ..crypto.merkle import IncrementalMerkleTree, MerkleTree
 
@@ -37,11 +37,10 @@ def provenance_event_leaf(event: Dict[str, Any]) -> bytes:
     leaf from the same event, so the encoding is a fixed field list in
     canonical JSON — extra keys cannot be smuggled past the root check.
     """
-    return json.dumps(
+    return canonical_json(
         {"handle": event["handle"], "data_hash": event["data_hash"],
          "event": event["event"], "actor": event["actor"],
-         "metadata": dict(event.get("metadata") or {})},
-        sort_keys=True, separators=(",", ":")).encode()
+         "metadata": dict(event.get("metadata") or {})})
 
 
 class ProvenanceBatch:
@@ -113,9 +112,7 @@ class WorldState:
     def snapshot_hash(self) -> str:
         """Digest of the full state, used to check peer convergence."""
         import hashlib
-        payload = json.dumps(self._state, sort_keys=True,
-                             separators=(",", ":")).encode()
-        return hashlib.sha256(payload).hexdigest()
+        return hashlib.sha256(canonical_json(self._state)).hexdigest()
 
 
 class CopyOnWriteState(WorldState):

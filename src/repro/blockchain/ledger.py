@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from ..core.canonical import canonical_json
 from ..core.errors import LedgerError
 from ..crypto.merkle import IncrementalMerkleTree, MerkleTree
 
@@ -43,7 +44,7 @@ class Transaction:
                 "ts": self.timestamp}
         if self.channel is not None:
             body["channel"] = self.channel
-        return json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+        return canonical_json(body)
 
     def with_endorsements(
             self, endorsements: Iterable[Tuple[str, bytes]]) -> "Transaction":

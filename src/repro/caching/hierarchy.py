@@ -192,7 +192,7 @@ class CacheHierarchy(Generic[K, V]):
                 self.clock.advance(level.access_cost_s)
                 hit, value = level.cache.lookup(key)
                 if hit:
-                    self._fill(key, value, upto=depth)
+                    self._fill({key: value}, upto=depth)
                     span.set_attribute("served_by", level.name)
                     span.set_attribute("hit_level", depth)
                     span.set_attribute("levels_probed", probed)
@@ -216,7 +216,7 @@ class CacheHierarchy(Generic[K, V]):
                     raise
             self._record_flight(key, _Flight(self.clock.now, value,
                                              self.origin.name))
-            self._fill(key, value, upto=len(self.levels))
+            self._fill({key: value}, upto=len(self.levels))
             return LookupResult(value, self.origin.name,
                                 self.clock.now - start, probed)
 
@@ -294,7 +294,7 @@ class CacheHierarchy(Generic[K, V]):
                 for key, value in hits.items():
                     values[key] = value
                     served[key] = level.name
-                    self._fill(key, value, upto=depth)
+                self._fill(hits, upto=depth)
                 remaining = [k for k in remaining if k not in hits]
 
         origin_keys = len(remaining)
@@ -310,17 +310,18 @@ class CacheHierarchy(Generic[K, V]):
                               keys=len(remaining))
                 loaded = self.origin.load_many(remaining)
             completes = self.clock.now
+            found: Dict[K, V] = {}
             for key in remaining:
                 served[key] = self.origin.name
                 if key in loaded:
                     value = loaded[key]
-                    values[key] = value
-                    self._fill(key, value, upto=len(self.levels))
+                    values[key] = found[key] = value
                     self._record_flight(key, _Flight(completes, value,
                                                      self.origin.name))
                 else:
                     missing.append(key)
                     self._record_not_found(key)
+            self._fill(found, upto=len(self.levels))
 
         return BatchLookupResult(
             values=values, served_by=served, missing=tuple(missing),
@@ -348,9 +349,13 @@ class CacheHierarchy(Generic[K, V]):
         self._inflight.pop(key, None)
         return sum(1 for level in self.levels if level.cache.invalidate(key))
 
-    def _fill(self, key: K, value: V, upto: int) -> None:
+    def _fill(self, pairs: Dict[K, V], upto: int) -> None:
+        """Install ``pairs`` in the first ``upto`` levels: one loop per
+        level, keys in ``pairs``' order."""
         for level in self.levels[:upto]:
-            level.cache.put(key, value)
+            put = level.cache.put
+            for key, value in pairs.items():
+                put(key, value)
 
     # -- single-flight / negative internals ---------------------------------
 

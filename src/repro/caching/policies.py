@@ -10,11 +10,11 @@ benchmark exercises the bulk ``get_many``/``put_many`` surface.
 
 from __future__ import annotations
 
-import zlib
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Generic, Hashable, Iterable, List, Mapping,
                     Optional, Sequence, Tuple, TypeVar, Union)
+from zlib import crc32
 
 from ..core.errors import ConfigurationError
 from ..cloudsim.clock import SimClock
@@ -135,6 +135,20 @@ class LruCache(Cache[K, V]):
     def _read(self, key: K) -> V:
         self._data.move_to_end(key)
         return self._data[key]
+
+    def get_many(self, keys: Iterable[K]) -> Dict[K, V]:
+        """Bulk probe in one loop, with ``lookup``'s per-key effects."""
+        stats, data = self.stats, self._data
+        stats.batch_gets += 1
+        found: Dict[K, V] = {}
+        for key in keys:
+            if key in data:
+                stats.hits += 1
+                data.move_to_end(key)
+                found[key] = data[key]
+            else:
+                stats.misses += 1
+        return found
 
     def _write(self, key: K, value: V) -> None:
         if key in self._data:
@@ -295,9 +309,15 @@ class _CountMinSketch:
     Hashes with seeded CRC-32 over ``repr(key)`` rather than built-in
     ``hash`` so estimates — and therefore TinyLFU admission decisions —
     are identical across processes regardless of PYTHONHASHSEED.
+
+    :meth:`slots` hashes a key into its counter index in each row;
+    :meth:`add` and :meth:`estimate` take those slots, so a caller that
+    keeps them (TinyLFU keeps each resident key's) hashes a key once.
+    The four rows are unrolled in all three.
     """
 
     DEPTH = 4
+    _SEEDS = tuple(row * 0x9E3779B1 for row in range(DEPTH))
 
     def __init__(self, capacity: int, sample_factor: int = 10) -> None:
         width = 16
@@ -308,21 +328,28 @@ class _CountMinSketch:
         self._sample_size = max(1, sample_factor * capacity)
         self._additions = 0
 
-    def _indexes(self, key: Hashable) -> List[int]:
+    def slots(self, key: Hashable) -> Tuple[int, int, int, int]:
         data = repr(key).encode("utf-8", "backslashreplace")
-        return [zlib.crc32(data, row * 0x9E3779B1) & self._mask
-                for row in range(self.DEPTH)]
+        mask = self._mask
+        s0, s1, s2, s3 = self._SEEDS
+        return (crc32(data, s0) & mask, crc32(data, s1) & mask,
+                crc32(data, s2) & mask, crc32(data, s3) & mask)
 
-    def add(self, key: Hashable) -> None:
-        for row, index in enumerate(self._indexes(key)):
-            self._rows[row][index] += 1
+    def add(self, slots: Tuple[int, int, int, int]) -> None:
+        r0, r1, r2, r3 = self._rows
+        i0, i1, i2, i3 = slots
+        r0[i0] += 1
+        r1[i1] += 1
+        r2[i2] += 1
+        r3[i3] += 1
         self._additions += 1
         if self._additions >= self._sample_size:
             self._halve()
 
-    def estimate(self, key: Hashable) -> int:
-        return min(self._rows[row][index]
-                   for row, index in enumerate(self._indexes(key)))
+    def estimate(self, slots: Tuple[int, int, int, int]) -> int:
+        r0, r1, r2, r3 = self._rows
+        i0, i1, i2, i3 = slots
+        return min(r0[i0], r1[i1], r2[i2], r3[i3])
 
     def _halve(self) -> None:
         for row in self._rows:
@@ -338,39 +365,68 @@ class TinyLfuCache(Cache[K, V]):
     the main is full, a new key is admitted only if its estimated
     frequency *exceeds* the LRU victim's, so one-hit wonders (scans,
     exports) bounce off instead of flushing the hot set.  Rejections are
-    counted in ``stats.admission_rejections``.
+    counted in ``stats.admission_rejections``.  The main stores each
+    resident key's sketch slots beside its value, so hits and the
+    victim's estimate hash nothing.  A hit or an update therefore counts
+    under the stored key's ``repr``: keys that compare equal but print
+    differently (``1`` and ``1.0``) share one count.
     """
 
     def __init__(self, capacity: int, sample_factor: int = 10) -> None:
         super().__init__(capacity)
-        self._main: "OrderedDict[K, V]" = OrderedDict()
+        # key -> (value, the key's sketch slots), in LRU order
+        self._main: "OrderedDict[K, Tuple[V, Tuple[int, int, int, int]]]" \
+            = OrderedDict()
         self._sketch = _CountMinSketch(capacity, sample_factor)
 
     def _contains(self, key: K) -> bool:
         return key in self._main
 
     def _read(self, key: K) -> V:
-        self._sketch.add(key)
+        value, slots = self._main[key]
+        self._sketch.add(slots)
         self._main.move_to_end(key)
-        return self._main[key]
+        return value
 
     def _on_miss(self, key: K) -> None:
-        self._sketch.add(key)   # repeat misses earn eventual admission
+        # repeat misses earn eventual admission
+        self._sketch.add(self._sketch.slots(key))
+
+    def get_many(self, keys: Iterable[K]) -> Dict[K, V]:
+        """Bulk probe in one loop, with ``lookup``'s per-key effects."""
+        stats, main, sketch = self.stats, self._main, self._sketch
+        stats.batch_gets += 1
+        found: Dict[K, V] = {}
+        for key in keys:
+            entry = main.get(key)
+            if entry is not None:
+                stats.hits += 1
+                sketch.add(entry[1])
+                main.move_to_end(key)
+                found[key] = entry[0]
+            else:
+                stats.misses += 1
+                sketch.add(sketch.slots(key))
+        return found
 
     def _write(self, key: K, value: V) -> None:
-        self._sketch.add(key)
-        if key in self._main:
-            self._main[key] = value
-            self._main.move_to_end(key)
+        main, sketch = self._main, self._sketch
+        entry = main.get(key)
+        if entry is not None:
+            sketch.add(entry[1])
+            main[key] = (value, entry[1])
+            main.move_to_end(key)
             return
-        if len(self._main) >= self.capacity:
-            victim = next(iter(self._main))
-            if self._sketch.estimate(key) <= self._sketch.estimate(victim):
+        slots = sketch.slots(key)
+        sketch.add(slots)
+        if len(main) >= self.capacity:
+            victim, (_, victim_slots) = next(iter(main.items()))
+            if sketch.estimate(slots) <= sketch.estimate(victim_slots):
                 self.stats.admission_rejections += 1
                 return
-            del self._main[victim]
+            del main[victim]
             self.stats.evictions += 1
-        self._main[key] = value
+        main[key] = (value, slots)
 
     def _remove(self, key: K) -> None:
         del self._main[key]

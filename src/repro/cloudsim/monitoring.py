@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Pattern, Tuple
 
+from ..core.canonical import canonical_json
 from ..core.errors import ConfigurationError, IntegrityError
 from .clock import SimClock
 
@@ -76,10 +77,8 @@ class LogEntry:
 
 def _hash_entry(index: int, timestamp: float, stream: str, level: str,
                 message: str, attributes: Dict[str, Any], prev_hash: str) -> str:
-    payload = json.dumps(
-        [index, timestamp, stream, level, message, attributes, prev_hash],
-        sort_keys=True, separators=(",", ":"),
-    ).encode()
+    payload = canonical_json(
+        [index, timestamp, stream, level, message, attributes, prev_hash])
     return hashlib.sha256(payload).hexdigest()
 
 
@@ -109,19 +108,24 @@ class LogStore:
         """Append a scrubbed entry and return it.
 
         Attributes are scrubbed recursively and validated as
-        JSON-serializable *before* anything is hashed, so a bad log call
+        JSON-serializable *before* anything is appended, so a bad log call
         raises a typed :class:`ConfigurationError` (naming the offending
         key) instead of half-corrupting the append-only chain with a raw
-        ``TypeError`` from ``json.dumps``.
+        ``TypeError`` from ``json.dumps``.  The entry hash encodes the
+        attributes once; only when that encoding fails are they checked
+        key by key.
         """
         message = scrub(message)
         attributes = {k: scrub_value(v) for k, v in attributes.items()}
-        self._require_serializable(attributes)
         index = len(self._entries)
         prev_hash = self._entries[-1].entry_hash if self._entries else self.GENESIS
         timestamp = self.clock.now
-        entry_hash = _hash_entry(index, timestamp, stream, level, message,
-                                 attributes, prev_hash)
+        try:
+            entry_hash = _hash_entry(index, timestamp, stream, level,
+                                     message, attributes, prev_hash)
+        except (TypeError, ValueError):
+            self._require_serializable(attributes)
+            raise
         entry = LogEntry(index, timestamp, stream, level, message,
                          dict(attributes), prev_hash, entry_hash)
         self._entries.append(entry)
@@ -295,8 +299,12 @@ class MonitoringService:
 
     def log(self, stream: str, message: str, level: str = "INFO",
             **attributes: Any) -> LogEntry:
-        self.metrics.incr(f"log.{stream}.{level.lower()}")
-        return self.logs.append(stream, message, level=level, **attributes)
+        """Append to the log, then count the entry under
+        ``log.<stream>.<level>``; a rejected entry is not counted."""
+        counter = f"log.{stream}.{level.lower()}"
+        entry = self.logs.append(stream, message, level=level, **attributes)
+        self.metrics.incr(counter)
+        return entry
 
     def publish(self, source: str, kind: str, **attributes: Any) -> None:
         """Emit a lifecycle event on the attached health plane's stream.

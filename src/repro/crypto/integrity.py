@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
+from ..core.canonical import canonical_json
 from ..core.errors import IntegrityError
-
-
-def _canonical(obj: Any) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def _tag(key: bytes, kind: bytes, payload: bytes) -> bytes:
@@ -46,10 +42,12 @@ class GraphAuthenticator:
         self._key = key
 
     def _node_tag(self, node: str, attrs: Dict[str, Any]) -> bytes:
-        return _tag(self._key, b"node", node.encode() + b"\x00" + _canonical(attrs))
+        return _tag(self._key, b"node",
+                    node.encode() + b"\x00" + canonical_json(attrs))
 
     def _edge_tag(self, u: str, v: str, attrs: Dict[str, Any]) -> bytes:
-        payload = u.encode() + b"\x00" + v.encode() + b"\x00" + _canonical(attrs)
+        payload = (u.encode() + b"\x00" + v.encode() + b"\x00"
+                   + canonical_json(attrs))
         return _tag(self._key, b"edge", payload)
 
     def _aggregate(self, node_tags: Dict[str, bytes],

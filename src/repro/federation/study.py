@@ -24,7 +24,6 @@ An aggregation round is four phases:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -36,6 +35,7 @@ from ..cloudsim.monitoring import MonitoringService
 from ..cloudsim.tracing import maybe_span
 from ..compute.graph import TaskGraph
 from ..compute.scheduler import Scheduler
+from ..core.canonical import canonical_json
 from ..core.errors import (
     ConfigurationError,
     IntegrityError,
@@ -423,6 +423,4 @@ def result_digest(analysis: str, result: Any) -> str:
                    "effects": np.round(result.effects, 9).tolist(),
                    "objective": [round(float(o), 6)
                                  for o in result.objective_history]}
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True,
-                   separators=(",", ":")).encode()).hexdigest()
+    return hashlib.sha256(canonical_json(payload)).hexdigest()

@@ -15,11 +15,11 @@ for the code baked into the image).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cloudsim.nodes import SoftwareComponent
+from ..core.canonical import canonical_json
 from ..core.errors import GatewayError
 from ..crypto.rsa import RsaPrivateKey, RsaPublicKey, rsa_sign, rsa_verify
 
@@ -41,10 +41,9 @@ class ContainerManifest:
     image_bytes: int
 
     def to_bytes(self) -> bytes:
-        return json.dumps(
+        return canonical_json(
             {"workload": self.workload_name, "entrypoint": self.entrypoint,
-             "libraries": sorted(self.libraries), "size": self.image_bytes},
-            sort_keys=True, separators=(",", ":")).encode()
+             "libraries": sorted(self.libraries), "size": self.image_bytes})
 
 
 @dataclass(frozen=True)

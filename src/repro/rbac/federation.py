@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from ..core.canonical import canonical_json
 from ..core.errors import AuthenticationError, NotFoundError
 from ..cloudsim.clock import SimClock
 from .engine import RbacEngine
@@ -35,10 +35,9 @@ class IdentityToken:
     signature: bytes
 
     def payload(self) -> bytes:
-        return json.dumps(
+        return canonical_json(
             {"iss": self.issuer, "sub": self.subject,
-             "iat": self.issued_at, "exp": self.expires_at},
-            sort_keys=True, separators=(",", ":")).encode()
+             "iat": self.issued_at, "exp": self.expires_at})
 
 
 class ExternalIdentityProvider:

@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..core.canonical import canonical_json
 from ..core.errors import AttestationError, IntegrityError
 from ..crypto.rsa import (
     RsaPrivateKey,
@@ -50,12 +51,10 @@ class Quote:
     signature: bytes
 
     def payload(self) -> bytes:
-        body = json.dumps(
+        return canonical_json(
             {"tpm": self.tpm_id, "nonce": self.nonce.hex(),
              "pcrs": {str(k): v for k, v in sorted(self.pcr_values.items())},
-             "events": self.event_count},
-            sort_keys=True, separators=(",", ":")).encode()
-        return body
+             "events": self.event_count})
 
 
 @dataclass(frozen=True)

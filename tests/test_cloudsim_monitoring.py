@@ -123,6 +123,14 @@ class TestLogChain:
         store.append("s", "still fine")
         assert store.verify_chain()
 
+    def test_unencodable_field_outside_attributes_raises_unchanged(self):
+        # Only attributes are checked key by key; any other encoding
+        # failure is the encoder's own error, and nothing is appended.
+        store = LogStore()
+        with pytest.raises(TypeError):
+            store.append(object(), "msg")
+        assert len(store) == 0
+
     def test_non_serializable_dataclass_attribute_rejected(self):
         @dataclasses.dataclass
         class Unserializable:
@@ -207,6 +215,25 @@ class TestMonitoringService:
         monitoring = MonitoringService()
         monitoring.log("ingest", "hello", level="WARN")
         assert monitoring.metrics.counter("log.ingest.warn") == 1
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2},
+                                     {"nested": {1: "a", "b": 2}}],
+                             ids=["object", "set", "mixed-key-dict"])
+    def test_rejected_entry_is_not_counted(self, bad):
+        # Regression: log() bumped log.<stream>.<level>, and with it the
+        # health-plane series, before the append that rejected the entry.
+        from repro.cloudsim.healthplane import TimeSeriesStore
+        clock = SimClock()
+        monitoring = MonitoringService(clock)
+        store = TimeSeriesStore(clock, interval_s=10.0)
+        monitoring.metrics.bind_series(store)
+        monitoring.log("api", "first")
+        with pytest.raises(ConfigurationError, match="'weird'"):
+            monitoring.log("api", "hello", weird=bad)
+        assert len(monitoring.logs) == 1
+        assert monitoring.logs.verify_chain()
+        assert monitoring.metrics.counter("log.api.info") == 1.0
+        assert store.total("log.api.info", 10.0) == 1.0
 
 
 class TestScrubSets:

@@ -26,7 +26,7 @@ import pytest
 
 from repro.blockchain import EndorsementPolicy, standard_network
 from repro.cloudsim.clock import SimClock
-from repro.cloudsim.faults import FaultInjector, FaultPlan
+from repro.cloudsim.faults import FaultPlan
 from repro.cloudsim.monitoring import MonitoringService
 from repro.cloudsim.network import standard_topology
 from repro.core.resilience import ResiliencePolicy, ResilientExecutor
@@ -65,9 +65,8 @@ def _build_world(seed, resilient, drop_rate):
     plan = (FaultPlan(seed=seed, clock=clock, monitoring=monitoring)
             .drop_link("client", "cloud-a", drop_rate)
             .dip_service("extract-a", AI_DIP_AVAILABILITY))
-    injector = FaultInjector(plan)
-
-    fabric = injector.attach(standard_topology(clock))
+    fabric = standard_topology(clock)
+    fabric.fault_plan = plan
 
     registry = ServiceRegistry(clock)
     registry.register(SimulatedAiService(
@@ -77,13 +76,13 @@ def _build_world(seed, resilient, drop_rate):
         "extract-b", "text-extraction", mean_latency_s=0.03,
         availability=0.98, accuracy=0.85, seed=seed + 2))
     for service in ("extract-a", "extract-b"):
-        injector.attach(registry._services[service])
+        registry._services[service].fault_plan = plan
 
     network = standard_network(seed=seed, batch_size=8,
                                policy=EndorsementPolicy(4, 4),
                                clock=clock, monitoring=monitoring)
     for peer in network.endorsing_peers():
-        injector.attach(peer)
+        peer.fault_plan = plan
 
     executor = None
     if resilient:

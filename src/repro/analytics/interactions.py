@@ -17,7 +17,7 @@ features yields interaction scores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -48,10 +48,6 @@ class PairFeaturizer:
                                 replace=False)
             anchors = [anchors[i] for i in chosen]
         self._anchors = anchors
-
-    @property
-    def feature_names(self) -> List[str]:
-        return list(self._names)
 
     def features(self, pair: Pair,
                  exclude_anchor: Optional[Pair] = None) -> np.ndarray:

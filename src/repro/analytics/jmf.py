@@ -52,10 +52,6 @@ class JmfResult:
         """Cluster label per drug: its dominant latent dimension."""
         return np.argmax(self.drug_factors, axis=1)
 
-    def disease_groups(self) -> np.ndarray:
-        """Cluster label per disease: its dominant latent dimension."""
-        return np.argmax(self.disease_factors, axis=1)
-
 
 class JointMatrixFactorization:
     """Trainer for the JMF model."""

@@ -537,9 +537,6 @@ class CrossShardContract(Chaincode):
     def __init__(self, delegates: Optional[Dict[str, Chaincode]] = None) -> None:
         self._delegates: Dict[str, Chaincode] = dict(delegates or {})
 
-    def register_delegate(self, contract: Chaincode) -> None:
-        self._delegates[contract.NAME] = contract
-
     @staticmethod
     def _key(txn_id: str) -> str:
         return f"xshard/{txn_id}"

@@ -106,14 +106,6 @@ class Peer:
         signature = self._msp.sign_as(self.member_id, tx.payload())
         return (self.member_id, signature)
 
-    def validate(self, tx: Transaction, policy: EndorsementPolicy) -> bool:
-        """Per-signature validation of one transaction's endorsements —
-        the reference :meth:`commit_block`'s batch screening agrees with."""
-        for member_id, signature in tx.endorsements:
-            if not self._msp.verify(member_id, tx.payload(), signature):
-                return False
-        return self._policy_admits(tx, policy)
-
     def _policy_admits(self, tx: Transaction,
                        policy: EndorsementPolicy) -> bool:
         """Whether ``tx`` names this peer's channel and its (verified)
@@ -169,8 +161,7 @@ class Peer:
         :class:`BlockchainNetwork` resilience) are validated against the
         reduced policy they were admitted with.  Endorsement signatures
         are checked with screening-style aggregate RSA verification per
-        endorser; the verdicts equal :meth:`validate`'s per-signature
-        ones.  Returns the number of transactions applied (invalid ones
+        endorser; the verdicts equal per-signature verification's.  Returns the number of transactions applied (invalid ones
         are marked-and-skipped, as in Fabric's validation flag model).
         """
         applied = 0

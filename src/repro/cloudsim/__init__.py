@@ -6,7 +6,6 @@ measured on a laptop.
 """
 
 from .clock import (
-    EventScheduler,
     INTER_REGION_ROUND_TRIP,
     LAN_ROUND_TRIP,
     LOCAL_MEMORY_ACCESS,
@@ -15,7 +14,6 @@ from .clock import (
 )
 from .faults import (
     AvailabilityDipFault,
-    FaultInjector,
     FaultPlan,
     FaultWindow,
     LatencySpikeFault,
@@ -70,13 +68,11 @@ from .provisioning import ProvisionRequest, ResourceProvisioningService
 
 __all__ = [
     "AvailabilityDipFault",
-    "FaultInjector",
     "FaultPlan",
     "FaultWindow",
     "LatencySpikeFault",
     "LinkDropFault",
     "NodeCrashFault",
-    "EventScheduler",
     "SimClock",
     "LOCAL_MEMORY_ACCESS",
     "LAN_ROUND_TRIP",

@@ -8,10 +8,6 @@ results are deterministic and the simulated WAN can be orders of magnitude
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
 
 class SimClock:
     """A monotonically advancing simulated clock, in seconds."""
@@ -38,76 +34,6 @@ class SimClock:
         if t > self._now:
             self._now = t
         return self._now
-
-
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class EventScheduler:
-    """A small discrete-event scheduler layered on a :class:`SimClock`.
-
-    Used by asynchronous components (background ingestion, cache
-    invalidation broadcast, blockchain ordering batches) to model work that
-    happens "later" in simulated time.
-    """
-
-    def __init__(self, clock: Optional[SimClock] = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
-        self._queue: List[_Event] = []
-        self._seq = 0
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> _Event:
-        """Run ``action`` ``delay`` simulated seconds from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule an event in the past")
-        event = _Event(self.clock.now + delay, self._seq, action)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
-        return event
-
-    def cancel(self, event: _Event) -> None:
-        """Mark an event so it is skipped when its time comes."""
-        event.cancelled = True
-
-    def pending(self) -> int:
-        """Number of events not yet run (including cancelled ones)."""
-        return sum(1 for e in self._queue if not e.cancelled)
-
-    def run_until(self, t: float) -> int:
-        """Run every event scheduled at or before time ``t``.
-
-        Returns the number of events executed.  Events scheduled by running
-        events are themselves run if they fall within the horizon.
-        """
-        executed = 0
-        while self._queue and self._queue[0].time <= t:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.time)
-            event.action()
-            executed += 1
-        self.clock.advance_to(t)
-        return executed
-
-    def run_all(self, max_events: int = 1_000_000) -> int:
-        """Drain the queue entirely. Guards against runaway self-scheduling."""
-        executed = 0
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            if executed >= max_events:
-                raise RuntimeError("event cascade exceeded max_events")
-            self.clock.advance_to(event.time)
-            event.action()
-            executed += 1
-        return executed
 
 
 # Reference access costs, in seconds, used across the latency experiments.

@@ -22,9 +22,12 @@ counted on the plan (and mirrored to a
 :class:`~repro.cloudsim.monitoring.MonitoringService` when bound), so
 operators can see exactly what the plan did.
 
-Components consult the plan through small, optional hooks (an attribute
-that defaults to ``None``), attached by :class:`FaultInjector`; code
-paths without a plan pay nothing.
+Components consult the plan through a small, optional hook: a
+``fault_plan`` attribute that defaults to ``None`` and is attached by
+assignment (``component.fault_plan = plan``).  Code paths without a plan
+pay nothing.  Crash windows are not applied to node objects: peers, the
+compute pool and the replicated data lake ask
+:meth:`FaultPlan.node_down` when they need to know.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core.errors import ConfigurationError
 from .clock import SimClock
 from .monitoring import MonitoringService
-from .nodes import NodeState
 
 
 @dataclass(frozen=True)
@@ -99,8 +101,8 @@ class FaultPlan:
 
     The plan shares the simulation's :class:`SimClock`, so windows are in
     simulated seconds.  Use the ``drop_link`` / ``spike_link`` /
-    ``crash_node`` / ``dip_service`` builders, then hand the plan to a
-    :class:`FaultInjector` to attach it to components.
+    ``crash_node`` / ``dip_service`` builders, then assign the plan to
+    each component's ``fault_plan`` hook.
     """
 
     def __init__(self, seed: int = 0, clock: Optional[SimClock] = None,
@@ -205,55 +207,3 @@ class FaultPlan:
             "availability_dips": len(self.availability_dips),
             "injected": dict(sorted(self.counters.items())),
         }
-
-
-class FaultInjector:
-    """Attaches a :class:`FaultPlan` to live simulation components.
-
-    Probabilistic faults (link drops, spikes, availability dips) are
-    consulted inline by the attached components; crash windows on
-    :mod:`repro.cloudsim.nodes` objects are *applied* by :meth:`tick`,
-    which crashes hosts/VMs whose window is active and restarts them
-    once it has passed.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self._nodes: List[Tuple[str, Any]] = []   # (node_id, host-or-vm)
-        self._crashed: Dict[str, NodeState] = {}  # node_id -> prior state
-
-    def attach(self, component: Any) -> Any:
-        """Point any plan-aware component (fabric, AI service, blockchain
-        peer, knowledge-base proxy) at the plan via its ``fault_plan`` hook."""
-        component.fault_plan = self.plan
-        return component
-
-    def attach_node(self, node_id: str, node: Any) -> None:
-        """Track a Host/VirtualMachine for crash/restart windows."""
-        self._nodes.append((node_id, node))
-
-    def attach_datacenter(self, datacenter: Any) -> None:
-        """Track every host (and its VMs) of a Datacenter."""
-        for host in datacenter.hosts.values():
-            self.attach_node(host.host_id, host)
-            for vm in host.vms.values():
-                self.attach_node(vm.vm_id, vm)
-
-    def tick(self) -> int:
-        """Apply crash windows at the current simulated time.
-
-        Returns the number of state changes (crashes + restarts) applied.
-        """
-        changes = 0
-        for node_id, node in self._nodes:
-            down = self.plan.node_down(node_id)
-            if down and node_id not in self._crashed:
-                self._crashed[node_id] = node.state
-                node.stop()
-                changes += 1
-            elif not down and node_id in self._crashed:
-                prior = self._crashed.pop(node_id)
-                if prior is NodeState.RUNNING:
-                    node.start()
-                changes += 1
-        return changes

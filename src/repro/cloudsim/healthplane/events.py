@@ -37,6 +37,9 @@ from ...core.errors import ConfigurationError
 from ..clock import SimClock
 from ..monitoring import MonitoringService
 
+# Recent events kept for snapshot introspection (EventBus.recent).
+HISTORY = 1024
+
 
 @dataclass(frozen=True)
 class PlatformEvent:
@@ -111,8 +114,7 @@ class EventBus:
     """Seeded, totally ordered pub/sub for platform lifecycle events."""
 
     def __init__(self, clock: Optional[SimClock] = None, seed: int = 0,
-                 monitoring: Optional[MonitoringService] = None,
-                 history: int = 1024) -> None:
+                 monitoring: Optional[MonitoringService] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.seed = seed
         self.monitoring = monitoring
@@ -120,8 +122,7 @@ class EventBus:
         self.dropped = 0
         self.by_source: Dict[str, int] = {}
         self._subscriptions: Dict[str, Subscription] = {}
-        # A bounded ring of recent events for snapshot introspection.
-        self._history: Deque[PlatformEvent] = deque(maxlen=history)
+        self._history: Deque[PlatformEvent] = deque(maxlen=HISTORY)
 
     def subscribe(self, name: str, maxlen: int = 256,
                   kinds: Optional[Sequence[str]] = None) -> Subscription:

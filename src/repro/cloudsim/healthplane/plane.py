@@ -33,7 +33,7 @@ the health plane leaves simulated latencies bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..clock import SimClock
 from ..monitoring import LogEntry, MonitoringService
@@ -45,6 +45,8 @@ from .timeseries import TimeSeriesStore
 # Default SLO counter series for the API gateway objective.
 API_GOOD_SERIES = "api.requests.good"
 API_BAD_SERIES = "api.requests.bad"
+# Histograms whose worst observation a snapshot links to its trace.
+EXEMPLAR_METRICS = ("api.latency",)
 
 
 @dataclass(frozen=True)
@@ -74,21 +76,15 @@ class HealthReport:
 class HealthPlane:
     """Wires series + events + SLOs + accounting onto a monitoring service."""
 
-    def __init__(self, monitoring: MonitoringService,
-                 interval_s: float = 60.0, window_count: int = 4320,
-                 max_series: int = 1024, seed: int = 0,
-                 accounting_capacity: int = 128,
-                 exemplar_metrics: Sequence[str] = ("api.latency",)) -> None:
+    def __init__(self, monitoring: MonitoringService, seed: int = 0,
+                 accounting_capacity: int = 128) -> None:
         self.monitoring = monitoring
         self.clock: SimClock = monitoring.clock
-        self.series = TimeSeriesStore(self.clock, interval_s=interval_s,
-                                      window_count=window_count,
-                                      max_series=max_series)
+        self.series = TimeSeriesStore(self.clock)
         self.events = EventBus(self.clock, seed=seed, monitoring=monitoring)
         self.slos = SloEvaluator(self.series, self.clock,
                                  events=self.events, monitoring=monitoring)
         self.accounting = UsageAccountant(capacity=accounting_capacity)
-        self.exemplar_metrics = tuple(exemplar_metrics)
         self._log_cursor = 0
         # Attach: existing metric call sites gain the time dimension and
         # instrumented layers discover the plane through monitoring.
@@ -186,7 +182,7 @@ class HealthPlane:
     def snapshot(self, k: int = 8) -> HealthReport:
         """The 'who is burning the platform down' report."""
         exemplars: Dict[str, Dict[str, Any]] = {}
-        for metric in self.exemplar_metrics:
+        for metric in EXEMPLAR_METRICS:
             exemplar = self.monitoring.metrics.exemplar(metric)
             if exemplar is not None:
                 exemplars[metric] = exemplar

@@ -55,7 +55,7 @@ class NetworkFabric:
         self._graph = nx.Graph()
         self._partitioned: set = set()
         self.transfers: List[TransferRecord] = []
-        # Optional chaos hook (see repro.cloudsim.faults.FaultInjector):
+        # Optional chaos hook (a repro.cloudsim.faults.FaultPlan, assigned):
         # when set, transfers consult it for drops and latency spikes.
         self.fault_plan = None
         self.dropped_transfers = 0

@@ -160,12 +160,6 @@ class Datacenter:
         host.start()
         return host
 
-    def find_host(self, host_id: str) -> Host:
-        try:
-            return self.hosts[host_id]
-        except KeyError:
-            raise NotFoundError(f"host {host_id} not in {self.name}") from None
-
     def first_fit(self, vcpus: int, memory_mb: int) -> Host:
         """First host with room for the requested VM shape."""
         for host in self.hosts.values():

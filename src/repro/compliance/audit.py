@@ -19,7 +19,7 @@ from typing import Any, Dict, List, Optional
 from ..blockchain.audit import AuditorView
 from ..cloudsim.monitoring import LogStore, MonitoringService
 from ..core.errors import IntegrityError
-from ..rbac.engine import AccessDecision, RbacEngine
+from ..rbac.engine import RbacEngine
 
 
 @dataclass
@@ -70,11 +70,6 @@ class AuditService:
         for decision in self.rbac.decision_log():
             counts[decision.user_id] = counts.get(decision.user_id, 0) + 1
         return counts
-
-    def denied_accesses(self) -> List[AccessDecision]:
-        if self.rbac is None:
-            return []
-        return [d for d in self.rbac.decision_log() if not d.allowed]
 
     # -- the audit pass ----------------------------------------------------------
 

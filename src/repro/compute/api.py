@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..core.api import ApiGateway, RequestContext, RouteSpec
+from ..core.api import ApiGateway, RequestContext, RouteSpec, audit_request
 from ..core.errors import NotFoundError, ValidationError
 from ..rbac.model import Action, ScopeKind
 from .graph import TaskGraph
@@ -106,14 +106,8 @@ class JobStatusResponse:
 class ComputeApi:
     """Registers the ``/v1/compute`` routes against one scheduler."""
 
-    def __init__(self, scheduler: Scheduler, *,
-                 run_inline: bool = True) -> None:
+    def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
-        # When True (the default) a submitted job is driven to completion
-        # during dispatch — the simulation has no background executor, so
-        # "async" submission still yields a terminal status to poll.
-        # Tests set False to exercise the PENDING -> ... transitions.
-        self.run_inline = run_inline
 
     # -- wiring ---------------------------------------------------------------
 
@@ -157,8 +151,10 @@ class ComputeApi:
         self._audit(context, job, "submitted",
                     extra=f"graph={request.graph.name} "
                           f"tasks={len(request.graph.tasks)}")
-        if self.run_inline:
-            self.scheduler.run(job.job_id)
+        # The simulation has no background executor: a submitted job is
+        # driven to completion during dispatch, so "async" submission
+        # still yields a terminal status to poll.
+        self.scheduler.run(job.job_id)
         return JobStatusResponse.from_job(job).to_body()
 
     def status(self, context: RequestContext, job_id: str) -> Dict[str, Any]:
@@ -193,12 +189,5 @@ class ComputeApi:
 
     def _audit(self, context: RequestContext, job: Job, verb: str,
                extra: str = "") -> None:
-        monitoring = self.scheduler.monitoring
-        if monitoring is None:
-            return
-        suffix = f" {extra}" if extra else ""
-        monitoring.log(
-            "audit",
-            f"compute job {job.job_id} {verb} by user "
-            f"{context.user.user_id} tenant {context.tenant_id} "
-            f"request {context.request_id}{suffix}")
+        audit_request(self.scheduler.monitoring, context,
+                      f"compute job {job.job_id}", verb, extra)

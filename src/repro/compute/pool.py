@@ -12,15 +12,15 @@ resident on that node with their sizes.  Placement reads it for
 locality; crashes clear it (that is what makes lineage recovery
 necessary).  The pool can grow and shrink at runtime — the scheduler's
 autoscaler calls :meth:`WorkerPool.grow` / :meth:`WorkerPool.shrink`
-against queue depth.
+against queue depth.  A shrunk worker leaves the pool, so the pool holds
+only live workers however long it runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..core.errors import AttestationError, ConfigurationError
 from ..cloudsim.nodes import (
     Datacenter,
     Host,
@@ -34,6 +34,13 @@ from ..cloudsim.provisioning import ProvisionRequest, ResourceProvisioningServic
 # client/driver and is never subject to crash windows.
 DRIVER_NODE = "driver"
 
+# Every worker VM's shape, and the provisioning time before it is usable.
+WORKER_VCPUS = 2
+WORKER_MEMORY_MB = 4096
+PROVISION_DELAY_S = 0.250
+# TPM hosts in the datacenter that standard_pool builds.
+POOL_HOSTS = 4
+
 
 @dataclass
 class Worker:
@@ -46,15 +53,13 @@ class Worker:
     busy_until_s: float = 0.0
     store: Dict[str, int] = field(default_factory=dict)   # key -> nbytes
     tasks_started: int = 0
-    retired: bool = False
 
     @property
     def node_id(self) -> str:
         return self.vm.vm_id
 
     def idle_at(self, now: float) -> bool:
-        return (not self.retired and now >= self.ready_at_s
-                and now >= self.busy_until_s)
+        return now >= self.ready_at_s and now >= self.busy_until_s
 
 
 class WorkerPool:
@@ -62,17 +67,12 @@ class WorkerPool:
 
     def __init__(self, provisioning: ResourceProvisioningService, *,
                  bios: SoftwareComponent, kernel: SoftwareComponent,
-                 image: SoftwareComponent, vcpus: int = 2,
-                 memory_mb: int = 4096,
-                 provision_delay_s: float = 0.250) -> None:
+                 image: SoftwareComponent) -> None:
         self.provisioning = provisioning
         self.bios = bios
         self.kernel = kernel
         self.image = image
-        self.vcpus = vcpus
-        self.memory_mb = memory_mb
-        self.provision_delay_s = provision_delay_s
-        self.workers: Dict[str, Worker] = {}
+        self.workers: Dict[str, Worker] = {}       # live workers only
         self._counter = 0
         self.scaled_up = 0
         self.scaled_down = 0
@@ -87,7 +87,7 @@ class WorkerPool:
         room — the scheduler treats that as "cannot scale".
         """
         vm = self.provisioning.provision_vm(
-            ProvisionRequest(vcpus=self.vcpus, memory_mb=self.memory_mb,
+            ProvisionRequest(vcpus=WORKER_VCPUS, memory_mb=WORKER_MEMORY_MB,
                              image=self.image,
                              labels={"pool": "repro.compute"}),
             self.bios, self.kernel)
@@ -97,14 +97,15 @@ class WorkerPool:
         self._counter += 1
         worker = Worker(worker_id=f"w-{self._counter:04d}", vm=vm,
                         host_id=host_id,
-                        ready_at_s=now_s + self.provision_delay_s)
+                        ready_at_s=now_s + PROVISION_DELAY_S)
         self.workers[worker.worker_id] = worker
         self.scaled_up += 1
         return worker
 
     def shrink(self, worker: Worker) -> None:
-        """Retire one worker: stop its VM and free host capacity."""
-        worker.retired = True
+        """Retire one worker: stop its VM, free host capacity, and drop it
+        from the pool."""
+        del self.workers[worker.worker_id]
         worker.store.clear()
         worker.vm.stop()
         host = self.provisioning.datacenter.hosts.get(worker.host_id)
@@ -118,11 +119,9 @@ class WorkerPool:
         """Is the worker's node currently able to run tasks?
 
         Consults the VM/host state *and* the fault plan's crash windows,
-        so a window that the injector has not ticked onto the nodes yet
-        is still honoured deterministically.
+        so a crash window is honoured deterministically without anything
+        applying it to the nodes.
         """
-        if worker.retired:
-            return False
         if worker.vm.state is not NodeState.RUNNING:
             return False
         host = self.provisioning.datacenter.hosts.get(worker.host_id)
@@ -136,19 +135,16 @@ class WorkerPool:
         return True
 
     def active(self) -> List[Worker]:
-        """Non-retired workers, in stable id order."""
-        return [self.workers[w] for w in sorted(self.workers)
-                if not self.workers[w].retired]
+        """Live workers, in stable id order."""
+        return [self.workers[w] for w in sorted(self.workers)]
 
     def size(self) -> int:
-        return sum(1 for w in self.workers.values() if not w.retired)
+        return len(self.workers)
 
 
-def standard_pool(datacenter: Optional[Datacenter] = None, *,
-                  hosts: int = 4, monitoring=None,
-                  provision_delay_s: float = 0.250,
-                  vcpus: int = 2, memory_mb: int = 4096) -> WorkerPool:
-    """A ready-to-use pool: TPM hosts, signed images, attesting service.
+def standard_pool(*, monitoring=None) -> WorkerPool:
+    """A ready-to-use pool: :data:`POOL_HOSTS` TPM hosts, signed images,
+    an attesting provisioning service.
 
     Convenience for benchmarks/examples; production wiring passes its own
     :class:`ResourceProvisioningService` with real attestation hooks.
@@ -157,16 +153,11 @@ def standard_pool(datacenter: Optional[Datacenter] = None, *,
     kernel = SoftwareComponent("kernel", b"compute-kernel-1.0")
     hypervisor = SoftwareComponent("hypervisor", b"compute-hv-1.0")
     image = SoftwareComponent("task-runtime", b"compute-runtime-1.0")
-    if datacenter is None:
-        datacenter = Datacenter("compute-dc")
-        for i in range(hosts):
-            datacenter.add_host(Host(host_id=f"compute-host-{i:02d}",
-                                     bios=bios, hypervisor=hypervisor,
-                                     has_tpm=True))
-    if not datacenter.hosts:
-        raise ConfigurationError("standard_pool needs at least one host")
+    datacenter = Datacenter("compute-dc")
+    for i in range(POOL_HOSTS):
+        datacenter.add_host(Host(host_id=f"compute-host-{i:02d}",
+                                 bios=bios, hypervisor=hypervisor,
+                                 has_tpm=True))
     provisioning = ResourceProvisioningService(datacenter,
                                                monitoring=monitoring)
-    return WorkerPool(provisioning, bios=bios, kernel=kernel, image=image,
-                      vcpus=vcpus, memory_mb=memory_mb,
-                      provision_delay_s=provision_delay_s)
+    return WorkerPool(provisioning, bios=bios, kernel=kernel, image=image)

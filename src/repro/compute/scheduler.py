@@ -14,10 +14,12 @@ Scheduling properties:
 * **data-locality-aware placement** — among idle workers, prefer the node
   already holding the *largest* input object of the task (then the most
   local bytes overall); missing inputs pay a modelled transfer cost;
-* **bounded ready queue + autoscaling** — at most ``queue_bound`` tasks
-  wait in the ready queue; the autoscaler grows the pool toward
-  ``ceil(depth / tasks_per_worker)`` workers (each paying a provisioning
+* **bounded ready queue + autoscaling** — at most :data:`QUEUE_BOUND`
+  tasks wait in the ready queue; the autoscaler grows the pool toward
+  ``ceil(depth / TASKS_PER_WORKER)`` workers (each paying a provisioning
   delay on an attested host) and retires idle workers when depth falls;
+* **one live job** — jobs run one at a time; starting another while one
+  is live raises :class:`~repro.core.errors.ComputeError`;
 * **lifecycle events** — PENDING → SCHEDULED → RUNNING →
   SUCCEEDED/FAILED/CANCELLED transitions (and per-task/worker events) are
   published on the health plane :class:`~..cloudsim.healthplane.EventBus`
@@ -57,6 +59,21 @@ from ..core.errors import (
 )
 from .graph import TaskGraph
 from .pool import DRIVER_NODE, Worker, WorkerPool
+
+# Autoscaling target: one worker per this many ready tasks.
+TASKS_PER_WORKER = 4
+# At most this many tasks wait in the ready queue.
+QUEUE_BOUND = 64
+# Simulated cost of one placement decision.
+SCHEDULE_COST_S = 0.0005
+# Moving a missing input to a worker: per-object latency plus bytes over
+# the link.
+TRANSFER_LATENCY_S = 0.002
+BANDWIDTH_BPS = 1e9
+# A task that has been placed this many times fails its job.
+MAX_ATTEMPTS = 4
+# Submitted jobs not yet run; one more is refused with RateLimitError.
+MAX_PENDING_JOBS = 64
 
 
 class JobState(Enum):
@@ -158,18 +175,10 @@ class Scheduler:
                  tracer: Optional[Tracer] = None,
                  fault_plan=None, *,
                  min_workers: int = 1, max_workers: int = 8,
-                 tasks_per_worker: int = 4, queue_bound: int = 64,
-                 schedule_cost_s: float = 0.0005,
-                 transfer_latency_s: float = 0.002,
-                 bandwidth_bps: float = 1e9,
-                 max_attempts: int = 4,
-                 max_pending_jobs: int = 64,
                  autoscale: bool = True) -> None:
         if min_workers < 0 or max_workers < 1 or min_workers > max_workers:
             raise ConfigurationError(
                 f"bad worker bounds [{min_workers}, {max_workers}]")
-        if queue_bound < 1 or tasks_per_worker < 1:
-            raise ConfigurationError("queue bounds must be >= 1")
         self.pool = pool
         self.clock = clock if clock is not None else SimClock()
         self.monitoring = monitoring
@@ -177,19 +186,13 @@ class Scheduler:
         self.fault_plan = fault_plan
         self.min_workers = min_workers
         self.max_workers = max_workers
-        self.tasks_per_worker = tasks_per_worker
-        self.queue_bound = queue_bound
-        self.schedule_cost_s = schedule_cost_s
-        self.transfer_latency_s = transfer_latency_s
-        self.bandwidth_bps = bandwidth_bps
-        self.max_attempts = max_attempts
-        self.max_pending_jobs = max_pending_jobs
         self.autoscale = autoscale
         self.jobs: Dict[str, Job] = {}
         self._queue: List[str] = []            # submitted, not yet run
         self._job_counter = 0
         self._span_counter = 0
-        # Per-run (one job executes at a time) scheduling state.
+        # The one started, unfinished job, and its scheduling state.
+        self._live: Optional[Job] = None
         self._ready: List[str] = []
         self._running: List[_Attempt] = []
 
@@ -198,9 +201,9 @@ class Scheduler:
     def submit(self, graph: TaskGraph, *, tenant_id: str = "internal",
                submitted_by: str = "internal") -> Job:
         """Validate and enqueue a graph; returns the PENDING job."""
-        if len(self._queue) >= self.max_pending_jobs:
+        if len(self._queue) >= MAX_PENDING_JOBS:
             raise RateLimitError(
-                f"compute job queue full ({self.max_pending_jobs} pending)")
+                f"compute job queue full ({MAX_PENDING_JOBS} pending)")
         order = graph.validate()
         self._job_counter += 1
         job = Job(job_id=f"job-{self._job_counter:06d}", graph=graph,
@@ -324,10 +327,13 @@ class Scheduler:
     # -- internals: lifecycle -------------------------------------------------
 
     def _start(self, job: Job) -> None:
+        if self._live is not None:
+            raise ComputeError(
+                f"cannot start {job.job_id}: job {self._live.job_id} is "
+                f"still running; run it to completion or cancel it first")
         if job.job_id in self._queue:
             self._queue.remove(job.job_id)
-        self._ready = []
-        self._running = []
+        self._live = job
         self._set_state(job, JobState.SCHEDULED)
         # Make sure the floor of the fleet exists before placement.
         while (self.pool.size() < self.min_workers
@@ -357,8 +363,10 @@ class Scheduler:
         if error is not None:
             job.error = str(error)
             job.error_type = type(error).__name__
-        self._running = []
-        self._ready = []
+        if job is self._live:
+            self._live = None
+            self._running = []
+            self._ready = []
         self._set_state(job, state)
         if self.monitoring is not None:
             self.monitoring.metrics.incr(f"compute.jobs.{state.value}")
@@ -400,7 +408,7 @@ class Scheduler:
 
     def _promote(self, job: Job) -> None:
         """PENDING -> READY for tasks whose deps and inputs are in place."""
-        if len(self._ready) >= self.queue_bound:
+        if len(self._ready) >= QUEUE_BOUND:
             return
         for task_id in sorted(job.task_states):
             if job.task_states[task_id] is not TaskState.PENDING:
@@ -415,7 +423,7 @@ class Scheduler:
             job.task_states[task_id] = TaskState.READY
             job.ready_since[task_id] = self.clock.now
             self._ready.append(task_id)
-            if len(self._ready) >= self.queue_bound:
+            if len(self._ready) >= QUEUE_BOUND:
                 break
         self._gauges()
 
@@ -423,7 +431,7 @@ class Scheduler:
         depth = len(self._ready)
         desired = max(self.min_workers,
                       min(self.max_workers,
-                          math.ceil(depth / self.tasks_per_worker)
+                          math.ceil(depth / TASKS_PER_WORKER)
                           if depth else self.min_workers))
         size = self.pool.size()
         while size < desired:
@@ -503,9 +511,9 @@ class Scheduler:
         transfer_bytes = sum(job.sizes[key] for key in missing)
         transfer_s = 0.0
         if missing:
-            transfer_s = (self.transfer_latency_s * len(missing)
-                          + transfer_bytes * 8.0 / self.bandwidth_bps)
-        t_sched_end = now + self.schedule_cost_s
+            transfer_s = (TRANSFER_LATENCY_S * len(missing)
+                          + transfer_bytes * 8.0 / BANDWIDTH_BPS)
+        t_sched_end = now + SCHEDULE_COST_S
         t_transfer_end = t_sched_end + transfer_s
         t_done = t_transfer_end + task.cost_s
         attempt = _Attempt(
@@ -667,10 +675,9 @@ class Scheduler:
                 self.monitoring.metrics.incr("compute.tasks.recovered")
 
     def _requeue(self, job: Job, task_id: str) -> bool:
-        if job.attempts[task_id] >= self.max_attempts:
+        if job.attempts[task_id] >= MAX_ATTEMPTS:
             self._fail(job, ComputeError(
-                f"task {task_id} exhausted its {self.max_attempts} "
-                f"attempts"))
+                f"task {task_id} exhausted its {MAX_ATTEMPTS} attempts"))
             return False
         job.task_states[task_id] = TaskState.PENDING
         self._publish("task.retried", job_id=job.job_id, task=task_id,
@@ -742,9 +749,8 @@ class Scheduler:
             return
         metrics = self.monitoring.metrics
         metrics.set_gauge("compute.jobs.pending", float(len(self._queue)))
-        metrics.set_gauge("compute.jobs.running", float(
-            sum(1 for j in self.jobs.values()
-                if j.state in (JobState.SCHEDULED, JobState.RUNNING))))
+        metrics.set_gauge("compute.jobs.running",
+                          0.0 if self._live is None else 1.0)
         metrics.set_gauge("compute.queue.depth", float(len(self._ready)))
         metrics.set_gauge("compute.workers", float(self.pool.size()))
 
@@ -768,9 +774,7 @@ class Scheduler:
 def standard_scheduler(*, clock: Optional[SimClock] = None,
                        monitoring: Optional[MonitoringService] = None,
                        tracer: Optional[Tracer] = None,
-                       fault_plan=None, hosts: int = 4,
-                       provision_delay_s: float = 0.250,
-                       **kwargs: Any) -> Scheduler:
+                       fault_plan=None, **kwargs: Any) -> Scheduler:
     """A scheduler over a freshly built attested pool (see standard_pool).
 
     Convenience wiring for examples, benchmarks, and tests; production
@@ -779,7 +783,6 @@ def standard_scheduler(*, clock: Optional[SimClock] = None,
     """
     from .pool import standard_pool
 
-    pool = standard_pool(hosts=hosts, monitoring=monitoring,
-                         provision_delay_s=provision_delay_s)
+    pool = standard_pool(monitoring=monitoring)
     return Scheduler(pool, clock=clock, monitoring=monitoring,
                      tracer=tracer, fault_plan=fault_plan, **kwargs)

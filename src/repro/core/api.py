@@ -147,6 +147,24 @@ class RequestContext:
     trace: Optional[TraceContext] = None
 
 
+def audit_request(monitoring: Optional[MonitoringService],
+                  context: RequestContext, subject: str, verb: str,
+                  extra: str = "") -> None:
+    """Write one handler's line to the ``audit`` log stream.
+
+    The one format every ``/v1`` surface shares:
+    ``<subject> <verb> by user <u> tenant <t> request <r>[ <extra>]``.
+    Without a monitoring service nothing is written.
+    """
+    if monitoring is None:
+        return
+    suffix = f" {extra}" if extra else ""
+    monitoring.log(
+        "audit",
+        f"{subject} {verb} by user {context.user.user_id} "
+        f"tenant {context.tenant_id} request {context.request_id}{suffix}")
+
+
 @dataclass(frozen=True)
 class ApiResponse:
     """Uniform response envelope."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from ..core.api import ApiGateway, RequestContext, RouteSpec
+from ..core.api import ApiGateway, RequestContext, RouteSpec, audit_request
 from ..core.errors import NotFoundError, ValidationError
 from ..rbac.model import Action, ScopeKind
 from .study import ANALYSES, FederatedStudyService
@@ -192,12 +192,5 @@ class StudiesApi:
 
     def _audit(self, context: RequestContext, study_id: str, verb: str,
                extra: str = "") -> None:
-        monitoring = self.service.monitoring
-        if monitoring is None:
-            return
-        suffix = f" {extra}" if extra else ""
-        monitoring.log(
-            "audit",
-            f"study {study_id} {verb} by user {context.user.user_id} "
-            f"tenant {context.tenant_id} request "
-            f"{context.request_id}{suffix}")
+        audit_request(self.service.monitoring, context, f"study {study_id}",
+                      verb, extra)

@@ -88,7 +88,7 @@ class Institution:
         self._ciphers: Dict[str, SharedKeyCipher] = {}
         self._delt_trends: Dict[str, Dict[str, Tuple[float, float]]] = {}
         self.egress_log: List[EgressRecord] = []
-        self.fault_plan = None  # FaultInjector.attach hook
+        self.fault_plan = None  # chaos hook: assign a FaultPlan
 
     # -- population -----------------------------------------------------------
 

@@ -166,12 +166,6 @@ class IngestionService:
         self._client_keys[client_id] = private
         return ClientRegistration(client_id, private.public_key())
 
-    def public_key_of(self, client_id: str) -> RsaPublicKey:
-        try:
-            return self._client_keys[client_id].public_key()
-        except KeyError:
-            raise NotFoundError(f"client {client_id} not registered") from None
-
     # -- upload (synchronous part) ------------------------------------------------
 
     def upload(self, client_id: str, envelope: HybridCiphertext,

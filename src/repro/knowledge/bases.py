@@ -95,10 +95,6 @@ class DrugBankLike:
         except KeyError:
             raise NotFoundError(f"no class for {drug_id}") from None
 
-    def therapeutic_classes(self, drug_ids: Sequence[str]) -> Dict[str, str]:
-        """Bulk lookup: one call for a whole id list."""
-        return _bulk(self._classes, drug_ids, "class")
-
 
 class SiderLike:
     """Side-effect database: drug id -> set of side-effect terms."""
@@ -114,11 +110,6 @@ class SiderLike:
             return set(self._side_effects[drug_id])
         except KeyError:
             raise NotFoundError(f"no side effects for {drug_id}") from None
-
-    def side_effects_many(self, drug_ids: Sequence[str]
-                          ) -> Dict[str, Set[str]]:
-        """Bulk lookup: one call for a whole id list."""
-        return _bulk(self._side_effects, drug_ids, "side effects", copy=set)
 
     def set_side_effects(self, drug_id: str, side_effects: Set[str]) -> None:
         """Upsert a drug's side-effect set (streaming drug.update events)."""
@@ -148,11 +139,6 @@ class DisGeNetLike:
             return set(self._genes_of[disease_id])
         except KeyError:
             raise NotFoundError(f"unknown disease {disease_id}") from None
-
-    def genes_for_diseases(self, disease_ids: Sequence[str]
-                           ) -> Dict[str, Set[str]]:
-        """Bulk lookup: one call for a whole id list."""
-        return _bulk(self._genes_of, disease_ids, "genes", copy=set)
 
     def diseases_for_gene(self, gene: str) -> Set[str]:
         return set(self._diseases_of.get(gene, set()))

@@ -128,7 +128,3 @@ class AnonymizationVerificationService:
         for patient in bundle.resources_of(Patient):
             profile = self._profile(patient)
             self._population[profile] = self._population.get(profile, 0) + 1
-
-    @property
-    def population_size(self) -> int:
-        return sum(self._population.values())

@@ -96,10 +96,10 @@ class RunningMoments:
 class RunningBaselines:
     """Streaming HbA1c baselines: per-patient + cohort moments, top-k."""
 
-    def __init__(self, sketch_capacity: int = 128) -> None:
+    def __init__(self) -> None:
         self.cohort = RunningMoments()
         self._patients: Dict[str, RunningMoments] = {}
-        self.activity = SpaceSavingSketch(capacity=sketch_capacity)
+        self.activity = SpaceSavingSketch()
         self.observations = 0
 
     def observe(self, patient_id: str, value: float) -> None:

@@ -15,17 +15,23 @@ Three policies cover the classic trade-offs:
   arrival itself.  Labs survive census pings.
 * :class:`AdaptiveShedPolicy` — probabilistic early shedding between an
   occupancy low/high watermark (seeded, deterministic), protecting
-  high-priority classes; an optional ``burn_hook`` lets the healthplane's
-  SLO burn rate steepen the curve under an active burn.
+  high-priority classes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .feed import StreamEvent
+
+# AdaptiveShedPolicy's ramp: no shedding at or below the low occupancy
+# watermark, every sheddable arrival shed at or above the high one.
+SHED_LOW_WATERMARK = 0.5
+SHED_HIGH_WATERMARK = 0.9
+# Events at or above this priority are never shed adaptively.
+PROTECT_PRIORITY = 3
 
 
 @dataclass(frozen=True)
@@ -86,42 +92,31 @@ class PriorityShedPolicy(SheddingPolicy):
 class AdaptiveShedPolicy(SheddingPolicy):
     """Probabilistic early shedding between occupancy watermarks.
 
-    Below ``low_watermark`` occupancy nothing is shed; above
-    ``high_watermark`` every sheddable arrival is refused; in between the
-    shed probability ramps linearly.  Events with priority >=
-    ``protect_priority`` are never shed adaptively — at a full queue they
-    fall back to drop-oldest so they still land.  ``burn_hook`` (e.g. the
-    healthplane's page-alert count) scales the ramp: any positive burn
-    doubles the effective occupancy pressure.
+    At or below :data:`SHED_LOW_WATERMARK` occupancy nothing is shed; at
+    or above :data:`SHED_HIGH_WATERMARK` every sheddable arrival is
+    refused; in between the shed probability ramps linearly.  Events with
+    priority >= :data:`PROTECT_PRIORITY` are never shed adaptively — at a
+    full queue they fall back to drop-oldest so they still land.
     """
 
     name = "adaptive"
 
-    def __init__(self, *, seed: int = 0, low_watermark: float = 0.5,
-                 high_watermark: float = 0.9, protect_priority: int = 3,
-                 burn_hook: Optional[Callable[[], float]] = None) -> None:
-        if not 0.0 <= low_watermark < high_watermark <= 1.0:
-            raise ValueError("need 0 <= low < high <= 1 watermarks")
+    def __init__(self, *, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        self.low = low_watermark
-        self.high = high_watermark
-        self.protect_priority = protect_priority
-        self.burn_hook = burn_hook
         self._fallback = DropOldestPolicy()
 
-    def shed_probability(self, occupancy: float) -> float:
-        pressure = occupancy
-        if self.burn_hook is not None and self.burn_hook() > 0:
-            pressure = min(1.0, occupancy * 2.0)
-        if pressure <= self.low:
+    @staticmethod
+    def shed_probability(occupancy: float) -> float:
+        if occupancy <= SHED_LOW_WATERMARK:
             return 0.0
-        if pressure >= self.high:
+        if occupancy >= SHED_HIGH_WATERMARK:
             return 1.0
-        return (pressure - self.low) / (self.high - self.low)
+        return ((occupancy - SHED_LOW_WATERMARK)
+                / (SHED_HIGH_WATERMARK - SHED_LOW_WATERMARK))
 
     def on_offer(self, queue: "StreamQueue",
                  event: StreamEvent) -> OfferResult:
-        if event.priority >= self.protect_priority:
+        if event.priority >= PROTECT_PRIORITY:
             if queue.depth >= queue.capacity:
                 return self._fallback.on_offer(queue, event)
             queue._append(event)

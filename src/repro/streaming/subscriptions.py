@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cloudsim.healthplane.events import EventBus
-from ..core.api import ApiGateway, RequestContext, RouteSpec
+from ..core.api import ApiGateway, RequestContext, RouteSpec, audit_request
 from ..core.errors import NotFoundError, ValidationError
 from ..rbac.model import Action, ScopeKind
 from .feed import StreamEvent
@@ -271,11 +271,5 @@ class SubscriptionApi:
 
     def _audit(self, context: RequestContext, sub_id: str, verb: str,
                extra: str = "") -> None:
-        if self.monitoring is None:
-            return
-        suffix = f" {extra}" if extra else ""
-        self.monitoring.log(
-            "audit",
-            f"subscription {sub_id} {verb} by user "
-            f"{context.user.user_id} tenant {context.tenant_id} "
-            f"request {context.request_id}{suffix}")
+        audit_request(self.monitoring, context, f"subscription {sub_id}",
+                      verb, extra)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core.errors import AttestationError, NotFoundError
+from ..core.errors import NotFoundError
 from ..crypto.rsa import RsaPublicKey
 from .tpm import Quote, Tpm, verify_quote
 
@@ -125,14 +125,6 @@ class AttestationService:
         nonce = self.fresh_nonce()
         quote = tpm.quote(nonce, pcr_indices)
         return self.appraise(quote, nonce)
-
-    def require_trusted(self, tpm: Tpm, pcr_indices: Tuple[int, ...]) -> None:
-        """Attest and raise :class:`AttestationError` unless trusted."""
-        result = self.attest(tpm, pcr_indices)
-        if not result.trusted:
-            raise AttestationError(
-                f"platform {tpm.tpm_id} failed attestation: {result.reason} "
-                f"(pcrs {result.mismatched_pcrs})")
 
     @property
     def appraisal_history(self) -> List[AppraisalResult]:

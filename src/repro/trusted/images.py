@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.errors import AttestationError, NotFoundError
 from ..cloudsim.nodes import SoftwareComponent
@@ -91,6 +91,3 @@ class ImageManagementService:
             return self._catalog[measurement]
         except KeyError:
             raise NotFoundError(f"image measurement {measurement} not found") from None
-
-    def catalog_measurements(self) -> List[str]:
-        return sorted(self._catalog)

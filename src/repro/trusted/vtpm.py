@@ -47,14 +47,6 @@ class VtpmManager:
         except KeyError:
             raise NotFoundError(f"no vTPM instance for vm {vm_id}") from None
 
-    def destroy_instance(self, vm_id: str) -> None:
-        """Tear down a VM's vTPM (VM destroyed); state is unrecoverable."""
-        self._instances.pop(vm_id, None)
-
-    @property
-    def instance_count(self) -> int:
-        return len(self._instances)
-
 
 @dataclass
 class VtpmChannel:
@@ -115,7 +107,3 @@ class VtpmInterfaceContainer:
         channel = self._channels.pop(container_id, None)
         if channel is not None:
             channel.detach()
-
-    @property
-    def open_channel_count(self) -> int:
-        return sum(1 for c in self._channels.values() if c.attached)

@@ -59,3 +59,18 @@ def clean_emr_cohort():
     """The same cohort shape without confounders."""
     return generate_emr_cohort(n_patients=200, n_drugs=24, n_lowering=4,
                                seed=21, confounders=False)
+
+
+def _per_signature_validate(peer, tx, policy):
+    """Whether ``peer`` admits ``tx`` checking each endorsement alone: the
+    reference that ``Peer.commit_block``'s batch screening must agree with."""
+    for member_id, signature in tx.endorsements:
+        if not peer._msp.verify(member_id, tx.payload(), signature):
+            return False
+    return peer._policy_admits(tx, policy)
+
+
+@pytest.fixture
+def reference_validate():
+    """Per-signature endorsement validation, ``(peer, tx, policy) -> bool``."""
+    return _per_signature_validate

@@ -311,9 +311,10 @@ class TestCopyOnWriteState:
 
 
 class TestBatchVerifiedCommit:
-    def test_batch_and_per_signature_commit_agree_on_tampered_block(self):
+    def test_batch_and_per_signature_commit_agree_on_tampered_block(
+            self, reference_validate):
         """A forged signature in a block invalidates exactly that tx, as
-        the per-signature ``Peer.validate`` reference says it must
+        the per-signature reference validation says it must
         (screening falls back per-signature)."""
         import dataclasses
 
@@ -329,7 +330,7 @@ class TestBatchVerifiedCommit:
         net.orderer._pending[2] = dataclasses.replace(
             victim, endorsements=((member_id, bad),)
             + victim.endorsements[1:])
-        reference = [net.peers[0].validate(tx, net.policy)
+        reference = [reference_validate(net.peers[0], tx, net.policy)
                      for tx in net.orderer._pending]
         assert reference == [True, True, False, True]
         net.flush()
@@ -427,7 +428,7 @@ class TestCommitTimeCounting:
         return [peer.peer_id for peer in net.peers
                 if peer.query("provenance", "get_history", handle=handle)]
 
-    def test_repeated_endorser_counts_once(self):
+    def test_repeated_endorser_counts_once(self, reference_validate):
         msp = MembershipServiceProvider(seed=21)
         net = BlockchainNetwork(msp, policy=EndorsementPolicy(3, 2),
                                 batch_size=1)
@@ -442,12 +443,13 @@ class TestCommitTimeCounting:
         first, second = tx.endorsements[0], tx.endorsements[1]
         stuffed = tx.with_endorsements([first, first, second])
         net.orderer._pending[-1] = stuffed
-        assert not any(peer.validate(stuffed, net.policy)
+        assert not any(reference_validate(peer, stuffed, net.policy)
                        for peer in net.peers)
         net.flush()
         assert self._applied_anywhere(net, "dup") == []
 
-    def test_client_and_auditor_signatures_do_not_count(self):
+    def test_client_and_auditor_signatures_do_not_count(
+            self, reference_validate):
         net = standard_network(seed=6, batch_size=1)
         tx = net.submit("ingestion-service", "provenance", "record_event",
                         handle="non-peer", data_hash="aa" * 32,
@@ -456,7 +458,7 @@ class TestCommitTimeCounting:
             [(member_id, net.msp.sign_as(member_id, tx.payload()))
              for member_id in ("ingestion-service", "auditor")])
         net.orderer._pending[-1] = forged
-        assert not any(peer.validate(forged, net.policy)
+        assert not any(reference_validate(peer, forged, net.policy)
                        for peer in net.peers)
         net.flush()
         assert self._applied_anywhere(net, "non-peer") == []

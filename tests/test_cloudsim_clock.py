@@ -1,8 +1,8 @@
-"""Tests for the simulated clock and event scheduler."""
+"""Tests for the simulated clock."""
 
 import pytest
 
-from repro.cloudsim.clock import EventScheduler, SimClock
+from repro.cloudsim.clock import SimClock
 
 
 class TestSimClock:
@@ -36,72 +36,3 @@ class TestSimClock:
         clock.advance_to(5.0)
         assert clock.now == 10.0
 
-
-class TestEventScheduler:
-    def test_events_run_in_time_order(self):
-        scheduler = EventScheduler()
-        order = []
-        scheduler.schedule(3.0, lambda: order.append("c"))
-        scheduler.schedule(1.0, lambda: order.append("a"))
-        scheduler.schedule(2.0, lambda: order.append("b"))
-        scheduler.run_all()
-        assert order == ["a", "b", "c"]
-
-    def test_run_until_horizon(self):
-        scheduler = EventScheduler()
-        fired = []
-        scheduler.schedule(1.0, lambda: fired.append(1))
-        scheduler.schedule(5.0, lambda: fired.append(2))
-        executed = scheduler.run_until(2.0)
-        assert executed == 1
-        assert fired == [1]
-        assert scheduler.clock.now == 2.0
-
-    def test_clock_advances_to_event_time(self):
-        scheduler = EventScheduler()
-        seen = []
-        scheduler.schedule(4.2, lambda: seen.append(scheduler.clock.now))
-        scheduler.run_all()
-        assert seen == [4.2]
-
-    def test_cancel(self):
-        scheduler = EventScheduler()
-        fired = []
-        event = scheduler.schedule(1.0, lambda: fired.append(1))
-        scheduler.cancel(event)
-        scheduler.run_all()
-        assert fired == []
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventScheduler().schedule(-1.0, lambda: None)
-
-    def test_event_can_schedule_followup(self):
-        scheduler = EventScheduler()
-        fired = []
-
-        def first():
-            fired.append("first")
-            scheduler.schedule(1.0, lambda: fired.append("second"))
-
-        scheduler.schedule(1.0, first)
-        scheduler.run_all()
-        assert fired == ["first", "second"]
-        assert scheduler.clock.now == 2.0
-
-    def test_runaway_cascade_guard(self):
-        scheduler = EventScheduler()
-
-        def rearm():
-            scheduler.schedule(0.1, rearm)
-
-        scheduler.schedule(0.1, rearm)
-        with pytest.raises(RuntimeError):
-            scheduler.run_all(max_events=100)
-
-    def test_pending_counts_uncancelled(self):
-        scheduler = EventScheduler()
-        event = scheduler.schedule(1.0, lambda: None)
-        scheduler.schedule(2.0, lambda: None)
-        scheduler.cancel(event)
-        assert scheduler.pending() == 1

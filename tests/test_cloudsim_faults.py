@@ -3,14 +3,9 @@
 import pytest
 
 from repro.cloudsim.clock import SimClock
-from repro.cloudsim.faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultWindow,
-)
+from repro.cloudsim.faults import FaultPlan, FaultWindow
 from repro.cloudsim.monitoring import MonitoringService
 from repro.cloudsim.network import standard_topology
-from repro.cloudsim.nodes import Host, NodeState, SoftwareComponent
 from repro.core.errors import ConfigurationError, ServiceUnavailableError
 from repro.services.registry import SimulatedAiService
 
@@ -107,39 +102,6 @@ class TestLinkFaults:
 
 
 class TestNodeCrashWindows:
-    def _host(self):
-        host = Host("h1", SoftwareComponent("bios", b"bios"),
-                    SoftwareComponent("hv", b"hv"))
-        host.start()
-        return host
-
-    def test_injector_crashes_and_restarts(self):
-        clock = SimClock()
-        plan = FaultPlan(clock=clock).crash_node("h1", 5.0, 10.0)
-        injector = FaultInjector(plan)
-        host = self._host()
-        injector.attach_node("h1", host)
-
-        assert injector.tick() == 0          # before the window
-        clock.advance(6.0)
-        assert injector.tick() == 1          # crash applied
-        assert host.state is NodeState.STOPPED
-        clock.advance(10.0)
-        assert injector.tick() == 1          # restart applied
-        assert host.state is NodeState.RUNNING
-
-    def test_restart_preserves_prior_stopped_state(self):
-        clock = SimClock()
-        plan = FaultPlan(clock=clock).crash_node("h1", 0.0, 5.0)
-        injector = FaultInjector(plan)
-        host = self._host()
-        host.stop()                          # operator had stopped it already
-        injector.attach_node("h1", host)
-        injector.tick()
-        clock.advance(6.0)
-        injector.tick()
-        assert host.state is NodeState.STOPPED   # not resurrected
-
     def test_node_down_query(self):
         clock = SimClock()
         plan = FaultPlan(clock=clock).crash_node("peer.org1", 0.0, 5.0)

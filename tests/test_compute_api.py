@@ -174,6 +174,24 @@ class TestAuditAndHealth:
         assert any("submitted" in e for e in entries)
         assert any("result read" in e for e in entries)
 
+    def test_audit_lines_keep_the_shared_format(self, world):
+        platform, *_, lab, clinic, call = world
+        job_id = call("researcher", lab, "/compute/submit",
+                      request=JobSubmitRequest(graph=tiny_graph())
+                      ).body["job_id"]
+        call("researcher", lab, "/compute/result", job_id=job_id)
+        call("reader", lab, "/compute/status", job_id=job_id)
+        assert [e.message for e in platform.monitoring.logs.entries("audit")
+                if e.message.startswith("compute job")] == [
+            "compute job job-000001 submitted by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000001 "
+            "graph=tiny tasks=1",
+            "compute job job-000001 result read by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000002 all outputs",
+            "compute job job-000001 status read by user user-1f43b7d0582e "
+            "tenant tenant-9370128a432d request req-00000003",
+        ]
+
     def test_lifecycle_events_reach_health_snapshot(self, world):
         platform, plane, *_, lab, clinic, call = world
         call("researcher", lab, "/compute/submit",

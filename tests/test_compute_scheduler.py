@@ -19,6 +19,7 @@ from repro.compute import (
     TaskState,
     standard_scheduler,
 )
+from repro.compute.scheduler import MAX_PENDING_JOBS
 from repro.core.errors import (
     ComputeError,
     ConfigurationError,
@@ -105,11 +106,13 @@ class TestLifecycle:
             scheduler.result(job.job_id)
 
     def test_job_queue_bound_enforced(self):
-        scheduler, *_ = make_world(max_pending_jobs=2)
-        scheduler.submit(fan_out(1))
-        scheduler.submit(fan_out(1))
+        scheduler, *_ = make_world()
+        assert MAX_PENDING_JOBS == 64
+        for _ in range(MAX_PENDING_JOBS):
+            scheduler.submit(fan_out(1))
         with pytest.raises(RateLimitError, match="queue full"):
             scheduler.submit(fan_out(1))
+        assert len(scheduler.jobs) == MAX_PENDING_JOBS
 
     def test_run_pending_drains_fifo(self):
         scheduler, *_ = make_world()
@@ -154,6 +157,40 @@ class TestCancellation:
             scheduler.cancel(job.job_id)
 
 
+class TestOneLiveJob:
+    """Jobs share the scheduler's ready and running lists, so only one
+    job may be started and unfinished at a time."""
+
+    @staticmethod
+    def two_jobs():
+        scheduler = standard_scheduler()
+        first = scheduler.submit(fan_out(4))
+        second = scheduler.submit(fan_out(4))
+        scheduler.step(first.job_id)
+        scheduler.step(first.job_id)
+        assert first.state is JobState.RUNNING
+        return scheduler, first, second
+
+    def test_starting_another_job_refuses_and_keeps_the_live_one(self):
+        scheduler, first, second = self.two_jobs()
+        with pytest.raises(ComputeError, match=first.job_id):
+            scheduler.run(second.job_id)
+        with pytest.raises(ComputeError, match=first.job_id):
+            scheduler.step(second.job_id)
+        assert second.state is JobState.PENDING
+        scheduler.run(first.job_id)
+        assert first.state is JobState.SUCCEEDED
+        scheduler.run(second.job_id)
+        assert second.state is JobState.SUCCEEDED
+
+    def test_cancelling_a_pending_job_keeps_the_live_one(self):
+        scheduler, first, second = self.two_jobs()
+        scheduler.cancel(second.job_id)
+        assert second.state is JobState.CANCELLED
+        scheduler.run(first.job_id)
+        assert first.state is JobState.SUCCEEDED
+
+
 class TestPlacementAndScaling:
     def test_locality_prefers_node_holding_largest_input(self):
         scheduler, *_ = make_world(min_workers=2, max_workers=2,
@@ -172,8 +209,7 @@ class TestPlacementAndScaling:
         assert by_task["join"]["node"] == by_task["big"]["node"]
 
     def test_autoscaler_grows_with_queue_and_shrinks_after(self):
-        scheduler, *_ = make_world(min_workers=1, max_workers=8,
-                                   tasks_per_worker=4)
+        scheduler, *_ = make_world(min_workers=1, max_workers=8)
         job = scheduler.submit(fan_out(32))
         scheduler.run(job.job_id)
         assert job.state is JobState.SUCCEEDED
@@ -181,6 +217,17 @@ class TestPlacementAndScaling:
         assert scheduler.pool.scaled_down >= 1    # drained idle workers
         nodes = {p["node"] for p in job.placements}
         assert len(nodes) > 1                      # work actually spread
+
+    def test_pool_holds_only_live_workers(self):
+        scheduler, *_ = make_world(min_workers=1, max_workers=8)
+        pool = scheduler.pool
+        for width in (32, 2, 24, 1):
+            job = scheduler.submit(fan_out(width))
+            scheduler.run(job.job_id)
+            assert job.state is JobState.SUCCEEDED
+            assert len(pool.workers) == pool.size() <= scheduler.max_workers
+        assert pool.scaled_up > scheduler.max_workers   # grew, shrank, grew
+        assert pool.size() == pool.scaled_up - pool.scaled_down
 
     def test_eight_workers_at_least_4x_faster_than_one(self):
         makespans = {}
@@ -263,6 +310,8 @@ class TestObservability:
     def test_gauges_mirrored_into_metrics(self):
         scheduler, _, monitoring, _, _, _ = make_world()
         job = scheduler.submit(fan_out(2))
+        scheduler.step(job.job_id)
+        assert monitoring.metrics.gauge("compute.jobs.running") == 1.0
         scheduler.run(job.job_id)
         metrics = monitoring.metrics
         assert metrics.gauge("compute.jobs.running") == 0.0
@@ -288,7 +337,7 @@ class TestObservability:
 class TestDeterminism:
     def run_once(self):
         scheduler, _, _, plane, _, fault_plan = make_world(
-            min_workers=1, max_workers=6, tasks_per_worker=2)
+            min_workers=1, max_workers=6)
         fault_plan.crash_node("compute-host-01", start_s=0.5, end_s=3.0)
         g = fan_out(24, cost_s=0.07)
         g.add_task("reduce", lambda ins: 0,

@@ -212,3 +212,26 @@ class TestAudit:
         assert any("approval recorded" in m for m in entries)
         assert any("run" in m for m in entries)
         assert any("status read" in m for m in entries)
+
+    def test_audit_lines_keep_the_shared_format(self, world):
+        platform, service, gateway, lab, clinic, call = world
+        study_id = propose_and_approve(call, lab)
+        call("researcher", lab, "/studies/run", study_id=study_id)
+        call("reader", lab, "/studies/status", study_id=study_id)
+        assert [e.message for e in platform.monitoring.logs.entries("audit")
+                if e.message.startswith("study")] == [
+            "study study-000001 proposed by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000001 "
+            "analysis=delt threshold=2-of-3",
+            "study study-000001 approval recorded by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000002 "
+            "institution=inst-00 state=proposed",
+            "study study-000001 approval recorded by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000003 "
+            "institution=inst-01 state=approved",
+            "study study-000001 run by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000004 "
+            "rounds=4 digest=4948db79c1617b16",
+            "study study-000001 status read by user user-1f43b7d0582e "
+            "tenant tenant-9370128a432d request req-00000005",
+        ]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cloudsim.clock import SimClock
 from repro.cloudsim.healthplane import EventBus
+from repro.cloudsim.healthplane.events import HISTORY
 from repro.cloudsim.monitoring import MonitoringService
 from repro.core.errors import ConfigurationError
 
@@ -126,12 +127,14 @@ class TestSubscriptions:
 
 class TestIntrospection:
     def test_recent_ring_is_bounded(self):
-        bus = EventBus(SimClock(), history=4)
-        for i in range(10):
+        bus = EventBus(SimClock())
+        for i in range(HISTORY + 6):
             bus.publish("g", "k", i=i)
         recent = bus.recent()
-        assert [e.attributes["i"] for e in recent] == [6, 7, 8, 9]
-        assert [e.attributes["i"] for e in bus.recent(limit=2)] == [8, 9]
+        assert [e.attributes["i"] for e in recent] == list(
+            range(6, HISTORY + 6))
+        assert [e.attributes["i"] for e in bus.recent(limit=2)] == [
+            HISTORY + 4, HISTORY + 5]
 
     def test_describe_accounts_by_source(self):
         bus = EventBus(SimClock())

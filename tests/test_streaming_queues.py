@@ -5,6 +5,7 @@ import pytest
 from repro.streaming import (AdaptiveShedPolicy, DropOldestPolicy,
                              PriorityShedPolicy, StreamQueue)
 from repro.streaming.feed import StreamEvent
+from repro.streaming.queues import PROTECT_PRIORITY
 
 
 def _event(i, priority=1, event_class="adt.census", arrival=None):
@@ -79,30 +80,30 @@ class TestPriorityShed:
 
 class TestAdaptiveShed:
     def test_below_low_watermark_never_sheds(self):
-        policy = AdaptiveShedPolicy(seed=0, low_watermark=0.5,
-                                    high_watermark=0.9)
+        policy = AdaptiveShedPolicy(seed=0)
         queue = StreamQueue("q", capacity=10, policy=policy)
         for i in range(5):
             assert queue.offer(_event(i)).admitted
         assert queue.shed == 0
 
     def test_at_high_watermark_sheds_everything_sheddable(self):
-        policy = AdaptiveShedPolicy(seed=0, low_watermark=0.1,
-                                    high_watermark=0.5, protect_priority=3)
-        queue = StreamQueue("q", capacity=4, policy=policy)
-        for i in range(2):   # protected fills never shed adaptively
-            queue.offer(_event(i, priority=3))
+        policy = AdaptiveShedPolicy(seed=0)
+        queue = StreamQueue("q", capacity=10, policy=policy)
+        for i in range(9):   # protected fills never shed adaptively
+            queue.offer(_event(i, priority=PROTECT_PRIORITY))
         assert policy.shed_probability(queue.depth / queue.capacity) == 1.0
+        # The ramp is linear between the watermarks (0.5 and 0.9).
+        assert policy.shed_probability(0.7) == pytest.approx(0.5)
         result = queue.offer(_event(9, priority=1))
         assert not result.admitted
         assert result.reason == "adaptive"
 
     def test_protected_priority_rides_through(self):
-        policy = AdaptiveShedPolicy(seed=0, low_watermark=0.1,
-                                    high_watermark=0.3, protect_priority=3)
+        policy = AdaptiveShedPolicy(seed=0)
         queue = StreamQueue("q", capacity=4, policy=policy)
         for i in range(8):
-            queue.offer(_event(i, priority=3, event_class="lab.hba1c"))
+            queue.offer(_event(i, priority=PROTECT_PRIORITY,
+                               event_class="lab.hba1c"))
         # Protected events fall back to drop-oldest at capacity: all
         # admitted, overflow victims explicitly shed.
         assert queue.depth == 4
@@ -111,26 +112,11 @@ class TestAdaptiveShed:
 
     def test_deterministic_under_seed(self):
         def run(seed):
-            policy = AdaptiveShedPolicy(seed=seed, low_watermark=0.2,
-                                        high_watermark=0.8)
+            policy = AdaptiveShedPolicy(seed=seed)
             queue = StreamQueue("q", capacity=6, policy=policy)
             return [queue.offer(_event(i)).admitted for i in range(30)]
         assert run(7) == run(7)
         assert run(7) != run(8)
-
-    def test_burn_hook_steepens_shedding(self):
-        policy = AdaptiveShedPolicy(seed=0, low_watermark=0.4,
-                                    high_watermark=0.9,
-                                    burn_hook=lambda: 1.0)
-        # occupancy 0.5 doubles to pressure 1.0 under burn -> certain shed
-        assert policy.shed_probability(0.5) == 1.0
-        calm = AdaptiveShedPolicy(seed=0, low_watermark=0.4,
-                                  high_watermark=0.9)
-        assert calm.shed_probability(0.5) < 0.25
-
-    def test_invalid_watermarks_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveShedPolicy(low_watermark=0.9, high_watermark=0.5)
 
 
 class TestLedger:

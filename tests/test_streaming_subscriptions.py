@@ -226,3 +226,24 @@ class TestGateway:
         assert any("registered" in e for e in entries)
         assert any("polled" in e for e in entries)
         assert any("cancelled" in e for e in entries)
+
+    def test_audit_lines_keep_the_shared_format(self, world):
+        platform, *_, lab, clinic, call = world
+        sub_id = call("clinician", lab, "/subscriptions/register",
+                      criteria=SubscriptionFilter()).body["sub_id"]
+        call("clinician", lab, "/subscriptions/poll", sub_id=sub_id)
+        call("clinician", lab, "/subscriptions/list")
+        call("clinician", lab, "/subscriptions/cancel", sub_id=sub_id)
+        assert [e.message for e in platform.monitoring.logs.entries("audit")
+                if e.message.startswith("subscription")] == [
+            "subscription sub-0001 registered by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000001 "
+            "criteria={'event_classes': [], 'patient_ids': [], "
+            "'min_priority': 0}",
+            "subscription sub-0001 polled by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000002 events=0",
+            "subscription * listed by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000003",
+            "subscription sub-0001 cancelled by user user-821bb04942d2 "
+            "tenant tenant-9370128a432d request req-00000004",
+        ]

@@ -263,7 +263,7 @@ def _chaos_case(mode):
                                            threshold=CHAOS_N - 1)
     plan = institutions[0].fault_plan
     retry_metric = service.monitoring.metrics.counter(
-        "federation.upload.retries")
+        "resilience.uplink.inst-00.retries")
     return {
         "state": summary["state"],
         "rounds": summary["rounds"],

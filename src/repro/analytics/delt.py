@@ -24,7 +24,7 @@ the baselines.  The marginal-correlation SCCS baseline is included for E9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

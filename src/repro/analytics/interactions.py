@@ -16,7 +16,6 @@ features yields interaction scores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np

@@ -24,8 +24,8 @@ dominant latent dimension, the paper's claimed drug/disease groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -20,7 +20,6 @@ from typing import Any, Dict, List, Optional
 from ..core.errors import LedgerError
 from ..crypto.merkle import MerkleProof, MerkleTree, verify_proof
 from .chaincode import provenance_event_leaf
-from .ledger import Transaction
 from .network import BlockchainNetwork
 
 

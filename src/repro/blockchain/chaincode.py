@@ -21,7 +21,6 @@ design decision" the paper explicitly allows):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.canonical import canonical_json

@@ -20,7 +20,7 @@ the global ledger."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import EndorsementError, LedgerError, ServiceUnavailableError

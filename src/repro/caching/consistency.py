@@ -18,12 +18,11 @@ protocol and reports stale reads and message counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 
 from ..core.errors import CacheConsistencyError, ConfigurationError
 from ..cloudsim.clock import SimClock
-from .policies import Cache, LruCache
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")

@@ -26,7 +26,7 @@ Three scale-out mechanisms serve the bulk read path (P4):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Generic, Hashable, Iterable, List,
                     Optional, Sequence, Tuple, TypeVar)
 

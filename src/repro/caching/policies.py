@@ -10,10 +10,10 @@ benchmark exercises the bulk ``get_many``/``put_many`` surface.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, deque
-from dataclasses import dataclass, field
-from typing import (Any, Dict, Generic, Hashable, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple, TypeVar, Union)
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import (Dict, Generic, Hashable, Iterable, List, Mapping,
+                    Optional, Tuple, TypeVar, Union)
 from zlib import crc32
 
 from ..core.errors import ConfigurationError

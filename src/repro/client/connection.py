@@ -10,8 +10,7 @@ which is what the enhanced client's offline queue absorbs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ..cloudsim.network import NetworkFabric
 from ..core.errors import DisconnectedError, NotFoundError

@@ -21,8 +21,8 @@ call, nothing is cached, uploads fail while offline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
 from ..caching.policies import Cache, LruCache
 from ..core.errors import DisconnectedError, ModelLifecycleError

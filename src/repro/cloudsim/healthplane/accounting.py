@@ -26,7 +26,7 @@ byte-identically across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ...core.errors import ConfigurationError
 

@@ -32,7 +32,7 @@ the health plane leaves simulated latencies bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..clock import SimClock

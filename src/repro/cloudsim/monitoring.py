@@ -12,8 +12,8 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Pattern, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Pattern, Tuple
 
 from ..core.canonical import canonical_json
 from ..core.errors import ConfigurationError, IntegrityError

@@ -9,7 +9,7 @@ routes are resolved with a shortest-latency path search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import networkx as nx
 

@@ -14,10 +14,10 @@ asks (who touched what, failed accesses, per-actor activity, integrity).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..blockchain.audit import AuditorView
-from ..cloudsim.monitoring import LogStore, MonitoringService
+from ..cloudsim.monitoring import MonitoringService
 from ..core.errors import IntegrityError
 from ..rbac.engine import RbacEngine
 

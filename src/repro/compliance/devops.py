@@ -19,12 +19,12 @@ anywhere else are rejected at provisioning.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..cloudsim.nodes import SoftwareComponent
-from ..core.errors import ChangeManagementError, ComplianceError
+from ..core.errors import ComplianceError
 from ..crypto.rsa import RsaPrivateKey
 from ..trusted.attestation import AttestationService
 from ..trusted.images import ImageManagementService, SignedImage, sign_image

@@ -17,11 +17,10 @@ implements end to end:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..blockchain.network import BlockchainNetwork
-from ..core.errors import NotFoundError
 from ..ingestion.datalake import DataLake
 from ..privacy.consent import ConsentManagementService
 from ..privacy.deidentify import Deidentifier

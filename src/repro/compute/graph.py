@@ -19,8 +19,8 @@ the scheduler consumes the returned topological order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError
 
@@ -66,6 +66,7 @@ class TaskGraph:
         self.name = name
         self.tasks: Dict[str, TaskSpec] = {}
         self.data: Dict[str, DataObject] = {}
+        self._producers: Optional[Dict[str, str]] = None
 
     # -- construction --------------------------------------------------------
 
@@ -104,13 +105,17 @@ class TaskGraph:
                 f"task {task_id!r} output {spec.output_key!r} collides "
                 f"with a graph input")
         self.tasks[task_id] = spec
+        self._producers = None
         return spec
 
     # -- queries -------------------------------------------------------------
 
     @property
     def producers(self) -> Dict[str, str]:
-        """Object key -> task id that produces it."""
+        """Object key -> task id that produces it, built once per graph
+        shape (:meth:`add_task` drops it) and shared: do not mutate."""
+        if self._producers is not None:
+            return self._producers
         out: Dict[str, str] = {}
         for task in self.tasks.values():
             if task.output_key in out:
@@ -118,6 +123,7 @@ class TaskGraph:
                     f"graph {self.name}: output {task.output_key!r} produced "
                     f"by both {out[task.output_key]!r} and {task.task_id!r}")
             out[task.output_key] = task.task_id
+        self._producers = out
         return out
 
     def dependencies(self, task_id: str) -> Tuple[str, ...]:

@@ -10,7 +10,7 @@ against a price book and renders invoices per billing period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..cloudsim.clock import SimClock

@@ -16,7 +16,7 @@ of custom services ... is created."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from ..analytics.lifecycle import ModelRegistry
 from ..blockchain import BlockchainNetwork, standard_network

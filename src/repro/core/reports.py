@@ -13,8 +13,8 @@ structured data and as a plain-text dashboard block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Sequence
 
 from ..cloudsim.monitoring import MonitoringService
 from ..compliance.audit import AuditService

@@ -21,7 +21,7 @@ import hashlib
 import hmac
 import secrets
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.errors import IntegrityError
 from .rsa import RsaPrivateKey, RsaPublicKey, rsa_sign, rsa_verify

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Tuple
 
 from ..core.errors import IntegrityError
 from .rsa import (

@@ -11,7 +11,7 @@ tenant's study id behaves exactly like a missing one (404).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..core.api import ApiGateway, RequestContext, RouteSpec, audit_request
 from ..core.errors import NotFoundError, ValidationError

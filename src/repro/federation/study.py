@@ -11,7 +11,7 @@ An aggregation round is four phases:
 1. **compute** — a task graph on the compute scheduler, one task per
    institution, produces the encrypted pairwise-masked partials;
 2. **delivery** — each upload crosses the institution -> coordinator link
-   (chaos-aware: dropped links are retried with capped backoff);
+   (chaos-aware: a ``ResilientExecutor`` retries dropped links);
 3. **ledger** — upload commitments ``H(ciphertext || key_fingerprint ||
    ts || institution)`` land as one endorsed batch via the sharded write
    path, where the ``study`` chaincode refuses any commitment before the
@@ -43,6 +43,7 @@ from ..core.errors import (
     StudyError,
     ValidationError,
 )
+from ..core.resilience import ResiliencePolicy, ResilientExecutor
 from ..crypto.symmetric import Ciphertext, SharedKeyCipher, generate_key, hkdf_expand
 from .institution import Institution, MaskedUpload
 from .secure import bytes_to_words, combine_masked, pair_secret
@@ -50,10 +51,11 @@ from .secure import bytes_to_words, combine_masked, pair_secret
 COORDINATOR_ID = "federation-coordinator"
 ANALYSES = ("jmf", "delt")
 
-# Delivery retry policy for chaos-dropped institution uplinks.
-BACKOFF_BASE_S = 0.5
-BACKOFF_CAP_S = 8.0
-MAX_DELIVERY_ATTEMPTS = 12
+# Delivery retry policy for chaos-dropped institution uplinks.  The
+# breaker opens after 13 failures, so it never cuts one upload short.
+DELIVERY_POLICY = ResiliencePolicy(max_attempts=12, base_backoff_s=0.5,
+                                   max_backoff_s=8.0, jitter=0.0,
+                                   breaker_failure_threshold=13)
 
 
 @dataclass
@@ -96,6 +98,8 @@ class FederatedStudyService:
         self.scheduler = scheduler
         self.monitoring = monitoring
         self.tracer = tracer
+        self._uplinks = ResilientExecutor(DELIVERY_POLICY, clock,
+                                          monitoring, tracer)
         self.institutions: Dict[str, Institution] = {
             inst.name: inst for inst in institutions}
         self.jmf_config = jmf_config
@@ -332,22 +336,15 @@ class FederatedStudyService:
         delivered: List[MaskedUpload] = []
         for upload in uploads:
             institution = self.institutions[upload.institution]
-            backoff = BACKOFF_BASE_S
-            for attempt in range(MAX_DELIVERY_ATTEMPTS):
+
+            def attempt() -> MaskedUpload:
                 try:
-                    delivered.append(institution.transmit(upload))
-                    break
+                    return institution.transmit(upload)
                 except ServiceUnavailableError:
                     local["upload_retries"] += 1
-                    if self.monitoring is not None:
-                        self.monitoring.metrics.incr(
-                            "federation.upload.retries")
-                    self.clock.advance(backoff)
-                    backoff = min(backoff * 2.0, BACKOFF_CAP_S)
-            else:
-                raise ServiceUnavailableError(
-                    f"institution {upload.institution} unreachable after "
-                    f"{MAX_DELIVERY_ATTEMPTS} attempts")
+                    raise
+            delivered.append(self._uplinks.call(
+                f"uplink.{upload.institution}", attempt))
         return delivered
 
     def _verify_phase(self, study_id: str, round_tag: str,

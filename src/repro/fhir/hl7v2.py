@@ -15,7 +15,7 @@ The reverse direction renders FHIR resources back to HL7v2 segments, and
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.errors import ValidationError
 from .resources import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from .resources import (
     Bundle,

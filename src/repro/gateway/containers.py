@@ -15,8 +15,8 @@ for the code baked into the image).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Tuple
 
 from ..cloudsim.nodes import SoftwareComponent
 from ..core.canonical import canonical_json

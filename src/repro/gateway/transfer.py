@@ -17,7 +17,7 @@ computation) that E11 compares against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..cloudsim.network import NetworkFabric
 from ..cloudsim.nodes import VirtualMachine

@@ -15,11 +15,10 @@ identity the mapping is stored in the metadata."
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
-from ..core.errors import IntegrityError, KeyManagementError, NotFoundError
+from ..core.errors import IntegrityError, NotFoundError
 from ..crypto.kms import KeyManagementService
 from ..crypto.symmetric import Ciphertext, SharedKeyCipher
 

@@ -16,9 +16,8 @@ Organizations (CRO) to conduct various types of studies."
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Tuple
 
 from ..core.errors import ConsentError, ExportError
 from ..fhir.resources import Bundle, Patient

@@ -19,7 +19,6 @@ The full flow the paper specifies:
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -34,7 +33,6 @@ from ..cloudsim.tracing import maybe_span
 from ..core.errors import (
     AuthenticationError,
     HealthCloudError,
-    IngestionError,
     NotFoundError,
 )
 from ..crypto.rsa import (
@@ -45,7 +43,7 @@ from ..crypto.rsa import (
     hybrid_decrypt,
     hybrid_encrypt,
 )
-from ..fhir.resources import Bundle, Consent, Patient
+from ..fhir.resources import Bundle, Patient
 from ..fhir.validation import BundleValidator
 from ..privacy.consent import ConsentManagementService
 from ..privacy.deidentify import Deidentifier, ReidentificationMap

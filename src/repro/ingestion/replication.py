@@ -19,7 +19,7 @@ replica's ciphertext unreadable at once — replicas never hold plaintext.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import NotFoundError, ServiceUnavailableError

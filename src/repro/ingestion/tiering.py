@@ -15,12 +15,12 @@ attempts raise; classification of FHIR content is automatic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ComplianceError, NotFoundError
-from ..fhir.resources import Bundle, Patient, Resource
+from ..fhir.resources import Bundle, Patient
 from ..privacy.deidentify import phi_identifiers_present
 from .datalake import DataLake, StoredRecord
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from .bases import PubMedLite
 from .synthetic import Abstract, BioUniverse
 
 _NEGATION_MARKERS = ("no association", "not associated", "remains unclear",

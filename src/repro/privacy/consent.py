@@ -13,9 +13,9 @@ revocation withdraws consent and triggers the right-to-forget path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..core.errors import ConsentError
 from ..cloudsim.clock import SimClock

@@ -21,10 +21,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..fhir.resources import (
     Bundle,
-    Condition,
-    Consent,
-    MedicationRequest,
-    Observation,
     Patient,
     Resource,
 )

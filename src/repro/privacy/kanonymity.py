@@ -14,7 +14,7 @@ and expected re-identification risk (1/class size, averaged).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import AnonymizationError

@@ -20,7 +20,7 @@ dropped, and a response is sent back to the sender."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.errors import AnonymizationError
 from ..fhir.resources import Bundle, Patient, Resource

@@ -10,7 +10,7 @@ tenant; an organization- or group-scoped permission covers only itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..core.errors import (
     AlreadyExistsError,

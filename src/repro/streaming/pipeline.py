@@ -18,8 +18,8 @@ critical-path attribution sums to exactly 100%), metered under
 moment a plane is attached, via ``bind_series``), and chaos-hardened:
 the commit stage consults an optional
 :class:`~repro.cloudsim.faults.FaultPlan` on the worker→orderer link and
-retries with backoff, falling back to the frontend's keep-sealed-batches
-behaviour when a whole flush window fails.
+retries through a ``ResilientExecutor``, falling back to the frontend's
+keep-sealed-batches behaviour when a whole flush window fails.
 
 Push latency (arrival to subscriber publish) is the user-facing SLI; it
 feeds a good/bad counter pair and an exemplar-linked histogram, and
@@ -29,11 +29,14 @@ feeds a good/bad counter pair and an exemplar-linked histogram, and
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Any, Callable, Dict, List, Optional
 
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
 from ..cloudsim.tracing import maybe_span
+from ..core.errors import HealthCloudError, ServiceUnavailableError
+from ..core.resilience import ResiliencePolicy, ResilientExecutor
 from ..ingestion.pipeline import ShardedIngestionFrontend
 from .feed import StreamEvent
 from .incremental import StreamingAnalytics
@@ -45,12 +48,14 @@ from .subscriptions import SubscriptionRegistry
 ADMIT_COST_S = 0.2e-3      # dequeue + dedupe + consent/stub checks
 PUSH_COST_S = 0.3e-3       # match + serialize + publish
 
-# The commit window: a flush after this many processed events.  A flush
-# whose worker→orderer link drops is retried this many times, the k-th
-# retry after k backoff steps.
+# The commit window: a flush after this many processed events, with 4
+# attempts 2, 4 and 6 ms apart and no per-attempt timeout (a flush that
+# commits a backlog may outlast the default 1 s).  The default breaker
+# opens after 5 consecutive failures, so it never cuts one flush short.
 FLUSH_EVERY_EVENTS = 32
-COMMIT_RETRIES = 3
-RETRY_BACKOFF_S = 2e-3
+COMMIT_POLICY = ResiliencePolicy(max_attempts=4, base_backoff_s=2e-3,
+                                 max_backoff_s=6e-3, jitter=0.0,
+                                 timeout_s=math.inf)
 
 PUSH_GOOD_SERIES = "streaming.push.good"
 PUSH_BAD_SERIES = "streaming.push.bad"
@@ -80,6 +85,8 @@ class StreamingPipeline:
                                else (lambda name: DropOldestPolicy()))
         self.scheduler = scheduler
         self.push_slo_threshold_s = push_slo_threshold_s
+        self._commits = ResilientExecutor(COMMIT_POLICY, self.clock,
+                                          self.monitoring)
         # Optional hooks, attached post-construction (tracer.bind / chaos).
         self.tracer = None
         self.fault_plan = None
@@ -92,6 +99,14 @@ class StreamingPipeline:
         self.refresh_jobs: List[str] = []
         self._since_flush = 0
         self.last_trace_id: Optional[str] = None
+
+    @property
+    def tracer(self):
+        return self._commits.tracer
+
+    @tracer.setter
+    def tracer(self, tracer) -> None:
+        self._commits.tracer = tracer
 
     # -- queue plumbing --------------------------------------------------------
 
@@ -231,39 +246,39 @@ class StreamingPipeline:
             self.flush()
 
     def flush(self, force: bool = False) -> bool:
-        """Commit the sealed window, retrying through injected link faults.
+        """Commit the sealed window through the pipeline's executor.
 
-        Each attempt first consults the fault plan on the worker→orderer
-        link; a dropped attempt costs one backoff and is retried.  When
-        every attempt drops, the frontend keeps its sealed batches (its
-        failed-ingest contract) and the next window retries them — the
-        events are delayed, never lost.
+        The executor retries a dropped worker→orderer link and a flush
+        the write path refuses, one backoff per failed attempt.  When
+        every attempt fails, or the commit breaker is open, the frontend
+        keeps its sealed batches (its failed-ingest contract) and the
+        next window retries them — the events are delayed, never lost.
         """
+        self._since_flush = 0
         if not force and self.frontend.pending_events == 0:
-            self._since_flush = 0
             return True
-        attempts = 0
-        while True:
+        try:
+            self._commits.call("stream.commit", self._commit_attempt)
+        except HealthCloudError:
+            self.failed_flushes += 1
+            self.monitoring.metrics.incr("streaming.commit.failed_flushes")
+            return False
+        self.flushes += 1
+        self._refresh()
+        return True
+
+    def _commit_attempt(self) -> None:
+        """One try: cross the worker→orderer link, then flush."""
+        try:
             if (self.fault_plan is not None
                     and self.fault_plan.link_dropped("stream-worker",
                                                      "orderer")):
-                attempts += 1
-                self.commit_retries_used += 1
-                self.monitoring.metrics.incr("streaming.commit.retries")
-                if attempts > COMMIT_RETRIES:
-                    self.failed_flushes += 1
-                    self.monitoring.metrics.incr(
-                        "streaming.commit.failed_flushes")
-                    self._since_flush = 0
-                    return False
-                self.clock.advance(RETRY_BACKOFF_S * attempts)
-                continue
+                raise ServiceUnavailableError(
+                    "link stream-worker -> orderer dropped")
             self.frontend.flush()
-            break
-        self.flushes += 1
-        self._since_flush = 0
-        self._refresh()
-        return True
+        except HealthCloudError:
+            self.commit_retries_used += 1
+            raise
 
     def _refresh(self) -> None:
         """Re-enqueue dirty-entity rows through the compute scheduler."""

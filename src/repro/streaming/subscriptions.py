@@ -23,7 +23,7 @@ a cancelled subscription, and its queue drains normally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cloudsim.healthplane.events import EventBus

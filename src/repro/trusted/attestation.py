@@ -13,9 +13,9 @@ consults, and issues anti-replay nonces for remote attestation.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.errors import NotFoundError
 from ..crypto.rsa import RsaPublicKey

@@ -21,7 +21,7 @@ changes (tampered kernels, unapproved containers) make attestation fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.errors import AttestationError
 from ..cloudsim.nodes import Container, Host, SoftwareComponent, VirtualMachine

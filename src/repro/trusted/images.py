@@ -9,9 +9,8 @@ membership in the attestation service's approved list.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.errors import AttestationError, NotFoundError
 from ..cloudsim.nodes import SoftwareComponent

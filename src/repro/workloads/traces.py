@@ -11,7 +11,7 @@ Three canonical trace shapes, each stressing a different policy:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List
 
 import numpy as np
 

@@ -74,3 +74,19 @@ def _per_signature_validate(peer, tx, policy):
 def reference_validate():
     """Per-signature endorsement validation, ``(peer, tx, policy) -> bool``."""
     return _per_signature_validate
+
+
+@pytest.fixture
+def output_key_reads(monkeypatch):
+    """The task id of every ``TaskSpec.output_key`` read, in order."""
+    from repro.compute.graph import TaskSpec
+
+    reads = []
+    output_key = TaskSpec.output_key.fget
+
+    def counted(spec):
+        reads.append(spec.task_id)
+        return output_key(spec)
+
+    monkeypatch.setattr(TaskSpec, "output_key", property(counted))
+    return reads

@@ -71,6 +71,27 @@ class TestEdges:
         assert g.validate() == ["a-first", "m-mid", "z-last"]
 
 
+class TestProducers:
+    def test_map_built_once_per_graph_shape(self, output_key_reads):
+        g = TaskGraph("chain")
+        g.add_task("t0", noop)
+        for i in range(1, 8):
+            g.add_task(f"t{i}", noop, inputs=(f"t{i - 1}",))
+        order = g.validate()
+        built = len(output_key_reads)
+        for _ in range(3):
+            assert g.validate() == order
+            for task_id in order:
+                g.dependencies(task_id)
+        assert len(output_key_reads) == built    # queries reuse the map
+        g.add_task("t8", noop, inputs=("t7",))
+        g.add_task("t9", noop, inputs=("t8",))
+        assert g.dependencies("t9") == ("t8",)   # add_task dropped it
+        g.add_task("dup", noop, output="t0")
+        with pytest.raises(ConfigurationError, match="produced by both"):
+            g.validate()
+
+
 class TestValidation:
     def test_unknown_dep_rejected(self):
         g = TaskGraph("g")

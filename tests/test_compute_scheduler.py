@@ -229,6 +229,21 @@ class TestPlacementAndScaling:
         assert pool.scaled_up > scheduler.max_workers   # grew, shrank, grew
         assert pool.size() == pool.scaled_up - pool.scaled_down
 
+    def test_per_task_graph_reads_do_not_grow_with_width(
+            self, output_key_reads):
+        per_task = []
+        for width in (8, 32):
+            scheduler, *_ = make_world()
+            g = fan_out(width)
+            g.add_task("total", lambda ins: 0,
+                       inputs=tuple(f"t-{i:02d}" for i in range(width)))
+            del output_key_reads[:]
+            job = scheduler.submit(g)
+            scheduler.run(job.job_id)
+            assert job.state is JobState.SUCCEEDED
+            per_task.append(len(output_key_reads) / len(g.tasks))
+        assert per_task[0] == per_task[1]
+
     def test_eight_workers_at_least_4x_faster_than_one(self):
         makespans = {}
         for workers in (1, 8):

@@ -9,7 +9,8 @@ from repro.cloudsim.faults import FaultPlan
 from repro.cloudsim.monitoring import MonitoringService
 from repro.cloudsim.tracing import Tracer
 from repro.compute.scheduler import standard_scheduler
-from repro.core.errors import EndorsementError, StudyError, ValidationError
+from repro.core.errors import (EndorsementError, ServiceUnavailableError,
+                               StudyError, ValidationError)
 from repro.federation import (
     COORDINATOR_ID,
     DeltStudyConfig,
@@ -43,6 +44,18 @@ def build_world(n_institutions=3, sharded=False, seed=5, n_patients=24,
         delt_config=DeltStudyConfig(n_drugs=N_DRUGS,
                                     max_iterations=max_iterations))
     return service, institutions, network, tracer
+
+
+class DropFirstTransmits:
+    """A fault plan whose links drop the first ``drops`` packets."""
+
+    def __init__(self, drops):
+        self.drops = drops
+        self.transmits = 0
+
+    def link_dropped(self, src, dst):
+        self.transmits += 1
+        return self.transmits <= self.drops
 
 
 def propose(service, threshold=2, participants=None):
@@ -230,6 +243,32 @@ class TestRunEndToEnd:
         assert summary["state"] == "complete"
         assert summary["upload_retries"] > 0
         assert plan.counters.get("link_drop", 0) > 0
+
+    def test_six_dropped_attempts_still_deliver(self):
+        # Under the default breaker (open after 5 consecutive failures)
+        # the 6th retry would be refused and the study would fail.
+        service, institutions, _, _ = build_world()
+        institutions[0].fault_plan = link = DropFirstTransmits(6)
+        study_id = propose(service, threshold=2)
+        service.approve(study_id, "inst-00")
+        service.approve(study_id, "inst-01")
+        summary = service.run(study_id)
+        assert summary["state"] == "complete"
+        assert summary["upload_retries"] == 6
+        assert service.monitoring.metrics.counter(
+            "resilience.uplink.inst-00.retries") == 6
+        assert link.transmits == 6 + summary["rounds"]
+
+    def test_delivery_gives_up_after_twelve_attempts(self):
+        service, institutions, _, _ = build_world()
+        institutions[0].fault_plan = link = DropFirstTransmits(10 ** 6)
+        study_id = propose(service, threshold=2)
+        service.approve(study_id, "inst-00")
+        service.approve(study_id, "inst-01")
+        with pytest.raises(ServiceUnavailableError):
+            service.run(study_id)
+        assert link.transmits == 12
+        assert service.status(study_id)["upload_retries"] == 12
 
     def test_tenant_bookkeeping(self):
         service, *_ = build_world()

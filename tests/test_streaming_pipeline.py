@@ -1,11 +1,13 @@
 """End-to-end streaming hot path: ledger, tracing, chaos, SLOs,
 determinism."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analytics.similarity import (DiseaseSimilarityBuilder,
                                         DrugSimilarityBuilder)
-from repro.blockchain import ShardedBlockchainNetwork
+from repro.blockchain import AuditorView, ShardedBlockchainNetwork
 from repro.cloudsim.faults import FaultPlan
 from repro.cloudsim.healthplane import HealthPlane
 from repro.cloudsim.healthplane.events import EventBus
@@ -104,6 +106,35 @@ class TestTracing:
                 "streaming.analytics",
                 "streaming.push"} <= set(percentages)
 
+    def test_retried_flush_traces_attempts_and_backoff(self):
+        network, pipeline, feed = _world(rate_calm_hz=20.0)
+        tracer = Tracer(network.clock)
+        pipeline.tracer = tracer
+        plan = FaultPlan(seed=2, clock=network.clock)
+        plan.drop_link("stream-worker", "orderer", 0.6,
+                       start_s=0.0, end_s=60.0)
+        pipeline.fault_plan = plan
+        pipeline.run(feed.events(5.0))
+        retried = []
+        for trace_id in tracer.trace_ids():
+            root = tracer.get_trace(trace_id)
+            if root.name != "streaming.process":
+                continue    # the closing forced flush roots its own trace
+            commit, = (s for s in root.children
+                       if s.name == "streaming.commit")
+            for call in commit.children:
+                attempts = [a for a in call.children
+                            if a.name == "resilience.attempt"]
+                if (call.name == "resilience.stream.commit"
+                        and any(e.name == "backoff"
+                                for a in attempts for e in a.events)):
+                    retried.append(trace_id)
+        assert retried
+        percentages = tracer.critical_path(
+            retried[0]).layer_percentages()
+        assert sum(percentages.values()) == pytest.approx(100.0, abs=1e-9)
+        assert percentages["resilience"] > 0.0
+
     def test_worst_wait_has_trace_exemplar(self):
         network, pipeline, feed = _world()
         pipeline.tracer = Tracer(network.clock)
@@ -144,6 +175,35 @@ class TestChaos:
         pipeline.run(e for e in events if e.arrival_s >= 5.0)
         assert pipeline.frontend.pending_events == 0
         assert _committed_blocks(network) > 0
+
+    def test_flush_the_write_path_refuses_is_retried_not_raised(self):
+        # Three of shard-01's four peers are down for 40 sim-s, so its
+        # endorsement policy cannot be met: the write path itself
+        # refuses each flush until they return.
+        network, pipeline, feed = _world()
+        plan = FaultPlan(seed=1, clock=network.clock)
+        for peer in network.channels[1].peers[1:]:
+            plan.crash_node(peer.peer_id, start_s=0.0, end_s=40.0)
+            peer.fault_plan = plan
+        events = list(feed.events(120.0))
+        pipeline.run(events)
+        assert pipeline.ledger() == {"arrivals": 440, "processed": 440,
+                                     "shed": 0, "queued": 0}
+        assert pipeline.ledger_balanced()
+        assert pipeline.frontend.pending_events == 0
+        # One flush spends its 4 attempts and the next fails once more;
+        # the 5th consecutive failure opens the breaker, which rejects
+        # the next 5 flushes outright until its probe commits the backlog.
+        assert pipeline.failed_flushes == 7
+        assert pipeline.commit_retries_used == 5
+        metrics = network.monitoring.metrics
+        assert metrics.counter("resilience.breaker.stream.commit.open") == 1
+        assert metrics.counter(
+            "resilience.breaker.stream.commit.closed") == 1
+        # retried flushes never double-commit: one leaf per event
+        handles = Counter(event.handle for channel in network.channels
+                          for event in AuditorView(channel).search_events())
+        assert handles == Counter(f"stream/{e.event_id}" for e in events)
 
 
 class TestPushSlo:

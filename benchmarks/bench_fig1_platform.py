@@ -11,7 +11,7 @@ import pytest
 
 from repro import HealthCloudPlatform
 from repro.fhir import Bundle, Observation, Patient
-from repro.ingestion import IngestionStatus, encrypt_bundle_for_upload
+from repro.ingestion import encrypt_bundle_for_upload
 
 from conftest import show
 

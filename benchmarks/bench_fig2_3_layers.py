@@ -7,8 +7,6 @@ layer on a fixed payload and report the per-record price of "weaving"
 security in.
 """
 
-import json
-
 import pytest
 
 from repro.blockchain import standard_network

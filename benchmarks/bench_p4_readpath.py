@@ -29,7 +29,6 @@ import pytest
 from repro.caching.hierarchy import CacheHierarchy, CacheLevel, Origin
 from repro.caching.policies import make_cache
 from repro.cloudsim.clock import SimClock
-from repro.cloudsim.monitoring import MonitoringService
 from repro.core.errors import NotFoundError
 from repro.workloads.traces import zipf_trace, zipf_with_scans_trace
 

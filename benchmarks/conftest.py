@@ -14,7 +14,6 @@ EXPERIMENTS.md).  Conventions:
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.knowledge.synthetic import generate_universe

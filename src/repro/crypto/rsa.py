@@ -18,7 +18,7 @@ import math
 import secrets
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import IntegrityError
 from .symmetric import Ciphertext, SharedKeyCipher, generate_key
@@ -353,23 +353,57 @@ class HybridCiphertext:
         return len(self.wrapped_key) + len(self.body)
 
 
+class EnvelopeSession:
+    """One data key, wrapped once under ``public``, that seals many bodies.
+
+    A one-shot envelope pays an RSA wrap to send and an RSA unwrap to
+    open.  A session pays them once: every body it seals carries the same
+    wrapped key and takes its cipher's next counter nonce, so no two
+    bodies of one session share a nonce.
+    """
+
+    def __init__(self, public: RsaPublicKey) -> None:
+        data_key = generate_key()
+        self.wrapped_key = rsa_encrypt(public, data_key)
+        self._cipher = SharedKeyCipher(data_key)
+        self.sealed = 0
+
+    def seal(self, plaintext: bytes,
+             associated_data: bytes = b"") -> HybridCiphertext:
+        self.sealed += 1
+        return HybridCiphertext(
+            self.wrapped_key, self._cipher.encrypt(plaintext, associated_data))
+
+
 def hybrid_encrypt(public: RsaPublicKey, plaintext: bytes,
                    associated_data: bytes = b"") -> HybridCiphertext:
     """Encrypt bulk data with a fresh shared key, wrap the key under RSA.
 
-    This is the mode the platform's Data Ingestion service uses for client
-    uploads: clients encrypt to the platform's public certificate, but the
-    bulk work is symmetric.
+    Clients encrypt to the platform's public certificate, but the bulk
+    work is symmetric.  This is a session of one envelope; client uploads
+    share an :class:`EnvelopeSession` across bundles.
     """
-    data_key = generate_key()
-    cipher = SharedKeyCipher(data_key)
-    body = cipher.encrypt(plaintext, associated_data)
-    wrapped = rsa_encrypt(public, data_key)
-    return HybridCiphertext(wrapped, body)
+    return EnvelopeSession(public).seal(plaintext, associated_data)
 
 
 def hybrid_decrypt(private: RsaPrivateKey, envelope: HybridCiphertext,
-                   associated_data: bytes = b"") -> bytes:
-    """Unwrap the data key and decrypt the body."""
-    data_key = rsa_decrypt(private, envelope.wrapped_key)
-    return SharedKeyCipher(data_key).decrypt(envelope.body, associated_data)
+                   associated_data: bytes = b"",
+                   opened: Optional[Dict[bytes, SharedKeyCipher]] = None
+                   ) -> bytes:
+    """Unwrap the data key and decrypt the body.
+
+    ``opened`` is a memo the caller owns, from a wrapped key to the
+    cipher it unwrapped to.  A hit skips the RSA unwrap.  After a miss,
+    the opened session replaces the memo's contents only once the body's
+    tag verifies under it, so a bogus wrapping or a tampered body never
+    evicts a good session.
+    """
+    cipher = opened.get(envelope.wrapped_key) if opened is not None else None
+    if cipher is not None:
+        return cipher.decrypt(envelope.body, associated_data)
+    cipher = SharedKeyCipher(rsa_decrypt(private, envelope.wrapped_key))
+    plaintext = cipher.decrypt(envelope.body, associated_data)
+    if opened is not None:
+        opened.clear()
+        opened[envelope.wrapped_key] = cipher
+    return plaintext

@@ -29,6 +29,11 @@ KEY_BYTES = 32
 NONCE_BYTES = 16
 TAG_BYTES = 32
 _BLOCK = hashlib.sha256().digest_size
+# RFC 2104's pads, as byte translation tables for one key of up to the
+# hash's 64-byte block.
+_HMAC_KEY_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 
 
 def hkdf_expand(key: bytes, info: bytes, length: int = KEY_BYTES) -> bytes:
@@ -51,14 +56,27 @@ def generate_key(rng_seed: Optional[int] = None) -> bytes:
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Block i is HMAC(key, nonce || i); the key and nonce are absorbed once
-    and each block continues from a copy of that state."""
-    keyed = hmac.new(key, nonce, hashlib.sha256)
+    """Block i is HMAC(key, nonce || i), computed as RFC 2104 defines it.
+
+    One SHA-256 state absorbs ``key ^ ipad`` and the nonce, another
+    ``key ^ opad``, once; each block continues from a copy of both, which
+    costs less than copying an ``hmac`` object.  A key longer than the
+    hash block would first have to be hashed, and is refused instead.
+    """
+    if len(key) > _HMAC_KEY_BLOCK:
+        raise ValueError(f"keystream key must be at most {_HMAC_KEY_BLOCK} "
+                         f"bytes, got {len(key)}")
+    padded = key.ljust(_HMAC_KEY_BLOCK, b"\0")
+    inner = hashlib.sha256(padded.translate(_IPAD))
+    inner.update(nonce)
+    outer = hashlib.sha256(padded.translate(_OPAD))
     blocks = []
     for counter in range((length + _BLOCK - 1) // _BLOCK):
-        block = keyed.copy()
+        block = inner.copy()
         block.update(struct.pack(">q", counter))
-        blocks.append(block.digest())
+        keyed = outer.copy()
+        keyed.update(block.digest())
+        blocks.append(keyed.digest())
     return b"".join(blocks)[:length]
 
 

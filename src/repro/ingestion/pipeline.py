@@ -36,13 +36,14 @@ from ..core.errors import (
     NotFoundError,
 )
 from ..crypto.rsa import (
+    EnvelopeSession,
     HybridCiphertext,
     RsaPrivateKey,
     RsaPublicKey,
     generate_keypair,
     hybrid_decrypt,
-    hybrid_encrypt,
 )
+from ..crypto.symmetric import SharedKeyCipher
 from ..fhir.resources import Bundle, Patient
 from ..fhir.validation import BundleValidator
 from ..privacy.consent import ConsentManagementService
@@ -67,6 +68,11 @@ class IngestionStatus(Enum):
 
 # The ledger identity every ingestion writer submits as.
 SUBMITTER = "ingestion-service"
+
+# Bundles a client seals under one upload session before it wraps a fresh
+# data key: a bound on how much data one wrapped key protects, far below
+# the 2**63 counter nonces the session's cipher can issue.
+SESSION_BUNDLES = 1024
 
 # Simulated per-stage service times (seconds) for the E1 latency split.
 STAGE_COSTS = {
@@ -98,12 +104,18 @@ class IngestionJob:
         return f"/ingestion/status/{self.job_id}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class ClientRegistration:
-    """Issued at registration: public certificate for upload encryption."""
+    """Issued at registration: public certificate for upload encryption.
+
+    ``session`` is the client's current upload session, which
+    :func:`encrypt_bundle_for_upload` opens on first use and rotates.
+    """
 
     client_id: str
     public_key: RsaPublicKey
+    session: Optional[EnvelopeSession] = field(default=None, compare=False,
+                                               repr=False)
 
 
 class IngestionService:
@@ -135,6 +147,8 @@ class IngestionService:
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(self.clock))
         self._client_keys: Dict[str, RsaPrivateKey] = {}
+        # client -> its current upload session's wrapped key and cipher
+        self._sessions: Dict[str, Dict[bytes, SharedKeyCipher]] = {}
         self._jobs: Dict[str, IngestionJob] = {}
         self._queue: Deque[str] = deque()
         self._job_counter = 0
@@ -162,6 +176,7 @@ class IngestionService:
                 else self._key_seed * 191 + len(self._client_keys) + 1)
         private = generate_keypair(bits=1024, seed=seed)
         self._client_keys[client_id] = private
+        self._sessions[client_id] = {}
         return ClientRegistration(client_id, private.public_key())
 
     # -- upload (synchronous part) ------------------------------------------------
@@ -281,10 +296,12 @@ class IngestionService:
 
     def _process(self, job: IngestionJob) -> None:
         start = self.clock.now
-        # i) decrypt with the client's platform-held private key.
+        # i) decrypt with the client's platform-held private key; the
+        # client's current session skips the RSA unwrap.
         try:
             plaintext = hybrid_decrypt(self._client_keys[job.client_id],
-                                       job.envelope)
+                                       job.envelope,
+                                       opened=self._sessions[job.client_id])
         except Exception as exc:
             self._reject(job, f"decryption failed: {exc}")
             return
@@ -406,8 +423,17 @@ class IngestionService:
 
 def encrypt_bundle_for_upload(bundle: Bundle,
                               registration: ClientRegistration) -> HybridCiphertext:
-    """Client-side helper: serialize + hybrid-encrypt a bundle for upload."""
-    return hybrid_encrypt(registration.public_key, bundle.to_json().encode())
+    """Client-side helper: serialize a bundle and seal it for upload.
+
+    Every bundle is sealed under the registration's upload session, so
+    the client wraps a data key (and the service unwraps it) once per
+    :data:`SESSION_BUNDLES` bundles, not once per bundle.
+    """
+    session = registration.session
+    if session is None or session.sealed >= SESSION_BUNDLES:
+        session = registration.session = EnvelopeSession(
+            registration.public_key)
+    return session.seal(bundle.to_json().encode())
 
 
 class ShardedIngestionFrontend:

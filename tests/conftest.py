@@ -6,7 +6,6 @@ cohort, RSA keypairs) are session-scoped so the suite stays fast.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analytics.similarity import (

@@ -11,7 +11,6 @@ from repro.core.errors import (
     ModelLifecycleError,
     NotFoundError,
 )
-from repro.crypto.kms import KeyManagementService
 from repro.fhir.resources import Bundle, Patient
 from repro.ingestion.pipeline import ClientRegistration
 from repro.crypto.rsa import generate_keypair, hybrid_decrypt
@@ -138,6 +137,21 @@ class TestEnhancedClientPrivacy:
         envelope = client.prepare_bundle(bundle, anonymize=True)
         decrypted = hybrid_decrypt(keypair, envelope)
         assert b"Doe" not in decrypted
+
+    def test_prepared_bundles_share_the_registration_session(self,
+                                                             connection):
+        keypair = generate_keypair(bits=1024, seed=44)
+        registration = ClientRegistration("c1", keypair.public_key())
+        client = EnhancedClient(connection, registration=registration)
+        first, second = (
+            client.prepare_bundle(Bundle(id=bundle_id).add(
+                Patient(id="p", name={"family": family})))
+            for bundle_id, family in (("b1", "Doe"), ("b2", "Roe")))
+        assert first.wrapped_key == second.wrapped_key
+        assert first.wrapped_key == registration.session.wrapped_key
+        assert b"Doe" in hybrid_decrypt(keypair, first)
+        assert b"Roe" in hybrid_decrypt(keypair, second)
+        assert b"Doe" not in hybrid_decrypt(keypair, second)
 
     def test_unregistered_client_cannot_prepare(self, connection):
         client = EnhancedClient(connection)

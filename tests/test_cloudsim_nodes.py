@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cloudsim.nodes import (
-    Container,
     Datacenter,
     Host,
     NodeState,

@@ -5,8 +5,6 @@ tenant isolation, per-route rate limits, audit entries carrying job ids,
 and lifecycle events observable on the health plane.
 """
 
-import warnings
-
 import pytest
 
 from repro import HealthCloudPlatform

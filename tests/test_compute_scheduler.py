@@ -23,12 +23,10 @@ from repro.compute.scheduler import MAX_PENDING_JOBS
 from repro.core.errors import (
     ComputeError,
     ConfigurationError,
-    NonIdempotentReplayError,
     NotFoundError,
     RateLimitError,
     TaskCancelledError,
     TaskFailedError,
-    WorkerExhaustedError,
 )
 
 

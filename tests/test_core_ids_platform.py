@@ -1,7 +1,5 @@
 """Tests for deterministic id generation and platform facade basics."""
 
-import pytest
-
 from repro import HealthCloudPlatform
 from repro.core.ids import IdFactory, content_id
 

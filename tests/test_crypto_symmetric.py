@@ -1,6 +1,8 @@
 """Tests for the shared-key AEAD and HMAC helpers."""
 
 import hashlib
+import hmac
+import struct
 
 import pytest
 
@@ -122,6 +124,25 @@ class TestKeystreamAlignment:
         from repro.crypto.symmetric import _xor
         data, stream = b"payload-bytes", b"keystream-byt"
         assert _xor(_xor(data, stream), stream) == data
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 4096])
+    def test_keystream_blocks_are_hmac_of_nonce_and_counter(self, length):
+        from repro.crypto.symmetric import _keystream
+        key, nonce = generate_key(21), bytes(range(16))
+        expected = b"".join(
+            hmac.new(key, nonce + struct.pack(">q", i),
+                     hashlib.sha256).digest()
+            for i in range((length + 31) // 32))[:length]
+        assert _keystream(key, nonce, length) == expected
+
+    def test_keystream_refuses_a_key_longer_than_the_hash_block(self):
+        """Such a key would have to be hashed first to be HMAC."""
+        from repro.crypto.symmetric import _keystream
+        key = bytes(range(64))
+        assert _keystream(key, b"n", 32) == hmac.new(
+            key, b"n" + struct.pack(">q", 0), hashlib.sha256).digest()
+        with pytest.raises(ValueError, match="at most 64 bytes"):
+            _keystream(key + b"x", b"n", 32)
 
 
 class TestKnownAnswers:

@@ -1,6 +1,5 @@
 """Federated study lifecycle: threshold approval on-chain, rounds, chaos."""
 
-import numpy as np
 import pytest
 
 from repro.blockchain.sharding import ShardedBlockchainNetwork

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cloudsim.clock import SimClock
-from repro.cloudsim.healthplane import TimeSeriesStore, WindowAggregate
+from repro.cloudsim.healthplane import TimeSeriesStore
 from repro.cloudsim.healthplane.timeseries import series_key
 from repro.core.errors import ConfigurationError
 

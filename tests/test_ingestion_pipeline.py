@@ -1,5 +1,7 @@
 """Tests for the asynchronous ingestion pipeline and export service."""
 
+import random
+
 import pytest
 
 from repro.core.errors import (
@@ -8,9 +10,11 @@ from repro.core.errors import (
     ConsentError,
     ExportError,
 )
-from repro.crypto.rsa import hybrid_encrypt
+import repro.crypto.rsa as rsa
+import repro.ingestion.pipeline as pipeline
+from repro.crypto.rsa import HybridCiphertext, hybrid_encrypt, rsa_encrypt
+from repro.crypto.symmetric import Ciphertext, generate_key
 from repro.fhir.resources import Bundle, Observation, Patient
-from repro.ingestion.export import ExportService
 from repro.ingestion.pipeline import (
     IngestionStatus,
     encrypt_bundle_for_upload,
@@ -263,6 +267,129 @@ class TestQueueDepthGauge:
                                      handle="job-0000001")
         assert history
         assert all("batch" in event["meta"] for event in history)
+
+
+@pytest.fixture
+def unwraps(monkeypatch):
+    """Records every RSA unwrap (``rsa_decrypt`` call) from here on."""
+    calls = []
+    original = rsa.rsa_decrypt
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rsa, "rsa_decrypt", counted)
+    return calls
+
+
+def consented_bundles(p, group, first, count):
+    """``count`` bundles for fresh patients, each consented to ``group``."""
+    bundles = []
+    for i in range(first, first + count):
+        p.consent.grant(f"pt-{i}", group.group_id)
+        bundles.append(make_bundle(patient_id=f"pt-{i}", bundle_id=f"b{i}"))
+    return bundles
+
+
+def ingest(p, group, envelopes, client_id="client-1"):
+    jobs = [p.ingestion.upload(client_id, envelope, group.group_id)
+            for envelope in envelopes]
+    p.run_ingestion()
+    return jobs
+
+
+class TestUploadSessions:
+    """A client wraps one data key per session; the service unwraps it
+    once and keeps only each client's current session."""
+
+    def test_one_unwrap_for_a_session_of_uploads(self, platform, unwraps):
+        p, _, group, registration = platform
+        jobs = ingest(p, group, [
+            encrypt_bundle_for_upload(bundle, registration)
+            for bundle in consented_bundles(p, group, 0, 64)])
+        assert [job.status for job in jobs] == [IngestionStatus.STORED] * 64
+        assert len(unwraps) == 1
+
+    def test_rotation_and_a_stale_session(self, platform, unwraps,
+                                          monkeypatch):
+        monkeypatch.setattr(pipeline, "SESSION_BUNDLES", 4)
+        p, _, group, registration = platform
+        bundles = consented_bundles(p, group, 0, 11)
+        envelopes = [encrypt_bundle_for_upload(bundles[0], registration)]
+        first_session = registration.session
+        envelopes += [encrypt_bundle_for_upload(bundle, registration)
+                      for bundle in bundles[1:10]]
+        assert len({envelope.wrapped_key for envelope in envelopes}) == 3
+        jobs = ingest(p, group, envelopes)
+        assert all(job.status is IngestionStatus.STORED for job in jobs)
+        assert len(unwraps) == 3
+        stale = first_session.seal(bundles[10].to_json().encode())
+        [job] = ingest(p, group, [stale])
+        assert job.status is IngestionStatus.STORED
+        assert len(unwraps) == 4
+
+    @pytest.mark.parametrize("forge, forged_unwraps", [
+        ("flipped_body", 0),
+        ("random_key_wrapped", 1),
+        ("random_wrapped_bytes", 1),
+        ("other_clients_session", 1),
+    ])
+    def test_a_bad_envelope_never_evicts_the_warm_session(
+            self, platform, unwraps, forge, forged_unwraps):
+        p, _, group, registration = platform
+        warm, victim, after = consented_bundles(p, group, 0, 3)
+        ingest(p, group, [encrypt_bundle_for_upload(warm, registration)])
+        valid = encrypt_bundle_for_upload(victim, registration)
+        if forge == "flipped_body":
+            body = bytearray(valid.body.body)
+            body[0] ^= 1
+            bad = HybridCiphertext(valid.wrapped_key, Ciphertext(
+                valid.body.nonce, bytes(body), valid.body.tag))
+        elif forge == "random_key_wrapped":
+            bad = HybridCiphertext(
+                rsa_encrypt(registration.public_key, generate_key()),
+                valid.body)
+        elif forge == "random_wrapped_bytes":
+            bad = HybridCiphertext(
+                random.Random(7).randbytes(len(valid.wrapped_key)),
+                valid.body)
+        else:
+            # client-2's session is warm at the service too, and must
+            # still not open under client-1's key.
+            other = p.ingestion.register_client("client-2")
+            [own] = ingest(p, group, [
+                encrypt_bundle_for_upload(victim, other)], "client-2")
+            assert own.status is IngestionStatus.STORED
+            bad = encrypt_bundle_for_upload(victim, other)
+        before = len(unwraps)
+        [rejected] = ingest(p, group, [bad])
+        assert rejected.status is IngestionStatus.REJECTED
+        assert "decryption failed" in rejected.reason
+        assert len(unwraps) == before + forged_unwraps
+        [stored] = ingest(p, group, [
+            encrypt_bundle_for_upload(after, registration)])
+        assert stored.status is IngestionStatus.STORED, stored.reason
+        assert len(unwraps) == before + forged_unwraps
+
+    def test_one_shot_envelopes_interleave_with_a_session(self, platform):
+        p, _, group, registration = platform
+        envelopes = [
+            encrypt_bundle_for_upload(bundle, registration) if i % 2
+            else hybrid_encrypt(registration.public_key,
+                                bundle.to_json().encode())
+            for i, bundle in enumerate(consented_bundles(p, group, 0, 8))]
+        jobs = ingest(p, group, envelopes)
+        assert [job.status for job in jobs] == [IngestionStatus.STORED] * 8
+
+    def test_a_session_seals_each_bundle_under_a_fresh_nonce(self,
+                                                              platform):
+        _, _, _, registration = platform
+        envelopes = [encrypt_bundle_for_upload(
+            make_bundle(patient_id=f"pt-{i}", bundle_id=f"b{i}"),
+            registration) for i in range(100)]
+        assert len({envelope.wrapped_key for envelope in envelopes}) == 1
+        assert len({envelope.body.nonce for envelope in envelopes}) == 100
 
 
 class TestShardedIngestionFrontend:

@@ -15,7 +15,6 @@ from repro.analytics import (
     DrugSimilarityBuilder,
     JointMatrixFactorization,
     MarginalSccs,
-    ModelStage,
     effect_recovery,
 )
 from repro.analytics.similarity import DiseaseSimilarityBuilder
@@ -23,7 +22,7 @@ from repro.client.connection import PlatformConnection
 from repro.client.enhanced import EnhancedClient
 from repro.cloudsim.network import standard_topology
 from repro.fhir.resources import Bundle, Observation, Patient
-from repro.ingestion.pipeline import IngestionStatus, encrypt_bundle_for_upload
+from repro.ingestion.pipeline import encrypt_bundle_for_upload
 from repro.knowledge import generate_universe
 from repro.rbac.model import Action, Permission, Scope, ScopeKind
 from repro.workloads import generate_emr_cohort

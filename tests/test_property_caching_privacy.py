@@ -1,7 +1,6 @@
 """Property-based tests for caches, k-anonymity, and the ledger."""
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.blockchain.ledger import Ledger, Transaction, build_block

@@ -3,7 +3,6 @@ HL7 adapter robustness, and DELT estimator sanity."""
 
 import hypothesis.strategies as st
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.analytics.delt import DeltModel, PatientSeries

@@ -20,7 +20,6 @@ from repro import HealthCloudPlatform
 from repro.core.errors import (
     AuthenticationError,
     AuthorizationError,
-    IntegrityError,
     KeyManagementError,
 )
 from repro.fhir.resources import Bundle, Observation, Patient

@@ -6,7 +6,7 @@ from repro.cloudsim.nodes import Host, SoftwareComponent, VirtualMachine
 from repro.core.errors import AttestationError, ConfigurationError
 from repro.crypto.rsa import generate_keypair
 from repro.trusted.attestation import AttestationService, TrustVerdict
-from repro.trusted.chain import HOST_PCRS, TrustedBootOrchestrator
+from repro.trusted.chain import TrustedBootOrchestrator
 from repro.trusted.images import ImageManagementService, sign_image
 from repro.trusted.tpm import PCR_VM_KERNEL, Tpm
 from repro.trusted.vtpm import VtpmManager

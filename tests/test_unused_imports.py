@@ -1,6 +1,9 @@
-"""Every name a module under ``src/repro/`` imports is used in it.
+"""Every name a module under ``src/repro/``, ``tests/`` or ``benchmarks/``
+imports is used in it.
 
 Package ``__init__.py`` files import to re-export, so they are skipped.
+``perfbench/`` is not walked: it is the wall-clock benchmark, and its
+files change only with the benchmark.
 A name counts as used where it appears as an identifier, including inside
 a quoted annotation such as ``"OrderedDict[str, Tuple[float, int]]"``;
 a mention in a docstring or another string does not count.
@@ -9,8 +12,9 @@ a mention in a docstring or another string does not count.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-MODULES = sorted(path for path in SRC.rglob("*.py")
+ROOT = Path(__file__).resolve().parent.parent
+TREES = (ROOT / "src" / "repro", ROOT / "tests", ROOT / "benchmarks")
+MODULES = sorted(path for tree in TREES for path in tree.rglob("*.py")
                  if path.name != "__init__.py")
 
 
@@ -52,12 +56,14 @@ def used_names(tree):
 
 
 def test_every_module_uses_every_name_it_imports():
-    assert SRC / "core" / "api.py" in MODULES
+    assert {ROOT / "src" / "repro" / "core" / "api.py",
+            Path(__file__).resolve(),
+            ROOT / "benchmarks" / "conftest.py"} <= set(MODULES)
     unused = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = used_names(tree)
-        unused += [f"{path.relative_to(SRC)}:{line} imports {name!r}"
+        unused += [f"{path.relative_to(ROOT)}:{line} imports {name!r}"
                    for name, line in imported_names(tree)
                    if name not in used]
     assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -1,7 +1,6 @@
 """Tests for workload generators: EMR cohorts and access traces."""
 
 import numpy as np
-import pytest
 
 from repro.workloads.emr import cohort_to_tabular, generate_emr_cohort
 from repro.workloads.traces import (

@@ -161,12 +161,27 @@ class CopyOnWriteState(WorldState):
 
 
 class Chaincode:
-    """Base class: a contract is a set of ``invoke_*`` methods over state."""
+    """Base class: a contract is a set of ``invoke_*`` methods over state.
+
+    A method may have a ``check_*`` twin that reads only the arguments.
+    :meth:`invoke` (endorsement simulation, queries, direct calls) runs
+    it first; :meth:`apply`, which committing peers run, does not: the
+    endorsement signatures they verify bind the arguments the endorsers
+    checked.
+    """
 
     NAME = "base"
 
     def invoke(self, state: WorldState, method: str,
                args: Dict[str, Any]) -> Any:
+        check = getattr(self, f"check_{method}", None)
+        if check is not None:
+            check(**args)
+        return self.apply(state, method, args)
+
+    def apply(self, state: WorldState, method: str,
+              args: Dict[str, Any]) -> Any:
+        """Run ``method`` over ``state`` without its argument checks."""
         handler = getattr(self, f"invoke_{method}", None)
         if handler is None:
             raise LedgerError(f"chaincode {self.NAME}: no method {method!r}")
@@ -198,25 +213,30 @@ class ProvenanceContract(Chaincode):
         state.put(key, events)
         return entry["seq"]
 
-    def invoke_record_batch(self, state: WorldState, *, batch_id: str,
-                            merkle_root: str,
-                            events: List[Dict[str, Any]]) -> List[int]:
-        """Commit a Merkle-batched set of events in one transaction.
-
-        The fast path for high-rate submitters: one endorsed transaction
-        carries a whole batch of per-stage events under their Merkle root.
-        Endorsing peers recompute the root during simulation, so a batch
-        whose root does not commit to its events never gets endorsed.
-        Every event still lands on its handle's chain (individually
-        queryable), tagged with the batch id and leaf index so auditors
-        can fetch an inclusion proof against the endorsed root.
-        """
+    def check_record_batch(self, *, batch_id: str, merkle_root: str,
+                           events: List[Dict[str, Any]]) -> None:
+        """Endorsement-time check: the batch is non-empty and its root
+        commits to its events, so a batch whose root does not never gets
+        endorsed."""
         if not events:
             raise ValidationError("provenance batch must contain events")
         tree = MerkleTree([provenance_event_leaf(e) for e in events])
         if tree.root.hex() != merkle_root:
             raise ValidationError(
                 f"provenance batch {batch_id!r}: Merkle root mismatch")
+
+    def invoke_record_batch(self, state: WorldState, *, batch_id: str,
+                            merkle_root: str,
+                            events: List[Dict[str, Any]]) -> List[int]:
+        """Commit a Merkle-batched set of events in one transaction.
+
+        The fast path for high-rate submitters: one endorsed transaction
+        carries a whole batch of per-stage events under their Merkle root
+        (checked by :meth:`check_record_batch`).  Every event still lands
+        on its handle's chain (individually queryable), tagged with the
+        batch id and leaf index so auditors can fetch an inclusion proof
+        against the endorsed root.
+        """
         batch_key = f"provbatch/{batch_id}"
         if state.get(batch_key) is not None:
             raise ValidationError(

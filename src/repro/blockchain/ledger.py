@@ -38,7 +38,22 @@ class Transaction:
     channel: Optional[str] = None
 
     def payload(self) -> bytes:
-        """Canonical bytes that endorsers sign and blocks commit."""
+        """Canonical bytes that endorsers sign and blocks commit.
+
+        Encoded on first use and kept, as the bytes a transaction travels
+        in: every endorser signs and every peer hashes the same ones.  A
+        transaction's fields, ``args`` included, are never changed in
+        place; ``dataclasses.replace`` makes a new one, encoded afresh,
+        and :meth:`Ledger.verify` re-encodes every transaction it walks.
+        """
+        encoded = self.__dict__.get("_payload")
+        if encoded is None:
+            encoded = self.encode()
+            object.__setattr__(self, "_payload", encoded)
+        return encoded
+
+    def encode(self) -> bytes:
+        """The canonical payload bytes, encoded from the fields now."""
         body = {"tx": self.tx_id, "cc": self.chaincode, "method": self.method,
                 "args": self.args, "submitter": self.submitter,
                 "ts": self.timestamp}
@@ -48,8 +63,11 @@ class Transaction:
 
     def with_endorsements(
             self, endorsements: Iterable[Tuple[str, bytes]]) -> "Transaction":
-        return replace(self, args=dict(self.args),
-                       endorsements=tuple(endorsements))
+        endorsed = replace(self, args=dict(self.args),
+                           endorsements=tuple(endorsements))
+        # The payload leaves endorsements out, so the bytes carry over.
+        object.__setattr__(endorsed, "_payload", self.payload())
+        return endorsed
 
 
 @dataclass(frozen=True)
@@ -74,13 +92,15 @@ class Block:
 GENESIS_HASH = "0" * 64
 
 
-def _check_block(block: Block, height: int, prev_hash: str) -> List[bytes]:
+def _check_block(block: Block, height: int, prev_hash: str,
+                 reencode: bool = False) -> List[bytes]:
     """Raise :class:`LedgerError` unless ``block`` sits at ``height``
     after ``prev_hash`` and its Merkle root and hash recompute; returns
-    its transaction payloads."""
+    its transaction payloads, re-encoded from the fields if ``reencode``."""
     if block.height != height or block.prev_hash != prev_hash:
         raise LedgerError(f"chain linkage broken at height {height}")
-    payloads = [tx.payload() for tx in block.transactions]
+    payloads = [tx.encode() if reencode else tx.payload()
+                for tx in block.transactions]
     if MerkleTree(payloads).root.hex() != block.merkle_root:
         raise LedgerError(f"Merkle root mismatch at height {height}")
     if Block.compute_hash(block.height, block.prev_hash, block.merkle_root,
@@ -169,9 +189,10 @@ class Ledger:
         return None
 
     def verify(self) -> bool:
-        """Re-walk the whole chain; raises LedgerError on any tamper."""
+        """Re-walk the whole chain, re-encoding every transaction from its
+        fields; raises LedgerError on any tamper."""
         prev = GENESIS_HASH
         for height, block in enumerate(self._blocks):
-            _check_block(block, height, prev)
+            _check_block(block, height, prev, reencode=True)
             prev = block.block_hash
         return True

@@ -124,7 +124,9 @@ class Peer:
                 orgs[member_id] = member.organization
         return policy.satisfied_by(list(orgs.values()))
 
-    def _verify_block_endorsements(self, block: Block) -> List[bool]:
+    def _verify_block_endorsements(self, block: Block,
+                                   verified: Optional[dict] = None
+                                   ) -> List[bool]:
         """Per-transaction signature validity via batch RSA screening.
 
         Endorsement signatures are grouped by endorsing member (one
@@ -132,8 +134,12 @@ class Peer:
         aggregate screening exponentiation across the whole block; a
         failing group falls back to per-signature verification inside
         ``MembershipServiceProvider.verify_batch``, so verdicts match the
-        per-signature path exactly.  Returns, per transaction, whether
-        *every* endorsement on it verified.
+        per-signature path exactly.  ``verified`` is an optional memo
+        owned by the caller, keyed by this peer's MSP, a group's member
+        and its exact ``(payload, signature)`` pairs: a verdict depends
+        on nothing else, so peers committing one block share it.
+        Returns, per transaction, whether *every* endorsement on it
+        verified.
         """
         groups: Dict[str, List[Tuple[int, bytes, bytes]]] = {}
         for index, tx in enumerate(block.transactions):
@@ -143,9 +149,14 @@ class Peer:
                     (index, payload, signature))
         valid = [True] * len(block.transactions)
         for member_id, entries in groups.items():
-            verdicts = self._msp.verify_batch(
-                member_id, [(payload, signature)
-                            for _, payload, signature in entries])
+            pairs = tuple((payload, signature)
+                          for _, payload, signature in entries)
+            key = (self._msp, member_id, pairs)
+            verdicts = None if verified is None else verified.get(key)
+            if verdicts is None:
+                verdicts = self._msp.verify_batch(member_id, list(pairs))
+                if verified is not None:
+                    verified[key] = verdicts
             for (index, _, _), ok in zip(entries, verdicts):
                 if not ok:
                     valid[index] = False
@@ -153,20 +164,29 @@ class Peer:
 
     def commit_block(self, block: Block, policy: EndorsementPolicy,
                      degraded_tx_ids: frozenset = frozenset(),
-                     degraded_policy: Optional[EndorsementPolicy] = None
-                     ) -> int:
-        """Validate + append a block; apply valid txns to world state.
+                     degraded_policy: Optional[EndorsementPolicy] = None,
+                     verified: Optional[dict] = None) -> int:
+        """Append a block, then apply its valid txns to world state.
 
-        Transactions the channel accepted under a *degraded* quorum (see
+        The ledger checks the block's height, link, Merkle root and hash
+        first; a block it refuses raises :class:`LedgerError` and changes
+        nothing.  Transactions the channel accepted under a *degraded* quorum (see
         :class:`BlockchainNetwork` resilience) are validated against the
         reduced policy they were admitted with.  Endorsement signatures
         are checked with screening-style aggregate RSA verification per
-        endorser; the verdicts equal per-signature verification's.  Returns the number of transactions applied (invalid ones
-        are marked-and-skipped, as in Fabric's validation flag model).
+        endorser; the verdicts equal per-signature verification's, and
+        ``verified`` is the caller's memo of them (see
+        :meth:`_verify_block_endorsements`).  A valid transaction runs
+        through :meth:`Chaincode.apply`: its argument checks ran at
+        endorsement, and the signatures bind the arguments they passed.
+        Returns the number of transactions applied (invalid ones are
+        marked-and-skipped, as in Fabric's validation flag model).
         """
+        self.ledger.append(block)
         applied = 0
-        for tx, signatures_ok in zip(block.transactions,
-                                     self._verify_block_endorsements(block)):
+        for tx, signatures_ok in zip(
+                block.transactions,
+                self._verify_block_endorsements(block, verified)):
             if not signatures_ok:
                 continue
             effective = (degraded_policy
@@ -176,14 +196,13 @@ class Peer:
                 continue
             try:
                 chaincode = self._chaincode(tx.chaincode)
-                chaincode.invoke(self.state, tx.method, tx.args)
+                chaincode.apply(self.state, tx.method, tx.args)
             except Exception:
                 # A peer-local application fault (broken contract install,
                 # bug) must not halt the network; this peer simply lags on
                 # that transaction — visible via peers_converged().
                 continue
             applied += 1
-        self.ledger.append(block)
         return applied
 
     def query(self, chaincode: str, method: str, **args: Any) -> Any:
@@ -499,10 +518,12 @@ class BlockchainNetwork:
                     break
                 self._charge("order", self.ORDER_LATENCY)
                 degraded = frozenset(self._degraded_tx_ids)
+                verified: dict = {}  # one block's signature verdicts
                 for peer in self.peers:
                     peer.commit_block(block, self.policy,
                                       degraded_tx_ids=degraded,
-                                      degraded_policy=self.degraded_policy)
+                                      degraded_policy=self.degraded_policy,
+                                      verified=verified)
                     self._charge("commit", self.COMMIT_LATENCY)
                 in_block = {tx.tx_id for tx in block.transactions}
                 self._degraded_committed |= self._degraded_tx_ids & in_block

@@ -121,6 +121,28 @@ class TestTransactionFlow:
         assert history == []  # validation dropped the forged transaction
 
 
+class TestCommitOrder:
+    def test_a_refused_block_changes_no_state(self):
+        """The ledger checks a block before any transaction is applied."""
+        import dataclasses
+
+        from repro.blockchain.ledger import build_block
+        net = standard_network(seed=3, batch_size=10)
+        tx = net.submit("ingestion-service", "provenance", "record_event",
+                        handle="h1", data_hash="aa" * 32, event="received",
+                        actor="c")
+        peer = net.peers[0]
+        block = build_block(peer.ledger.height, peer.ledger.tip_hash, 1.0,
+                            [tx])
+        forged = dataclasses.replace(block, merkle_root="00" * 32)
+        with pytest.raises(LedgerError):
+            peer.commit_block(forged, net.policy)
+        assert peer.ledger.height == 0
+        assert peer.query("provenance", "get_history", handle="h1") == []
+        assert peer.commit_block(block, net.policy) == 1
+        assert peer.query("provenance", "get_history", handle="h1")
+
+
 class TestEndorserFailure:
     def test_one_failing_endorser_tolerated(self):
         """A crashing endorser just doesn't sign; policy still satisfiable."""

@@ -372,7 +372,11 @@ class TestUploadSessions:
         assert stored.status is IngestionStatus.STORED, stored.reason
         assert len(unwraps) == before + forged_unwraps
 
-    def test_one_shot_envelopes_interleave_with_a_session(self, platform):
+    def test_one_shot_envelopes_interleave_with_a_session(self, platform,
+                                                          unwraps):
+        """A one-shot envelope costs one unwrap and replaces the kept
+        session, so the next session envelope pays one more: alternating
+        them unwraps every envelope, as the parent did."""
         p, _, group, registration = platform
         envelopes = [
             encrypt_bundle_for_upload(bundle, registration) if i % 2
@@ -381,6 +385,7 @@ class TestUploadSessions:
             for i, bundle in enumerate(consented_bundles(p, group, 0, 8))]
         jobs = ingest(p, group, envelopes)
         assert [job.status for job in jobs] == [IngestionStatus.STORED] * 8
+        assert len(unwraps) == 8
 
     def test_a_session_seals_each_bundle_under_a_fresh_nonce(self,
                                                               platform):

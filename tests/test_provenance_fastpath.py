@@ -13,8 +13,14 @@ import dataclasses
 import pytest
 
 from repro import HealthCloudPlatform
-from repro.blockchain import AuditorView, standard_network
-from repro.blockchain.chaincode import provenance_event_leaf
+from repro.blockchain import AuditorView, chaincode, ledger, standard_network
+from repro.blockchain.chaincode import (
+    ProvenanceBatch,
+    ProvenanceContract,
+    WorldState,
+    provenance_event_leaf,
+)
+from repro.blockchain.identity import MembershipServiceProvider
 from repro.core.errors import EndorsementError, LedgerError, ValidationError
 from repro.crypto.merkle import MerkleTree, verify_proof
 from repro.fhir.resources import Bundle, Observation, Patient
@@ -281,6 +287,109 @@ class TestSubmitBatch:
         with pytest.raises(EndorsementError):
             network.submit_batch("ingestion-service", self._requests(2))
         assert network.orderer.pending_count == 0  # nothing half-ordered
+
+
+class TestPeersDoNotRepeatPureWork:
+    """However many peers commit a block: each transaction is encoded
+    once, a batch's leaves are computed only by its builder and its
+    endorsers, and each endorser's signatures are checked once."""
+
+    @staticmethod
+    def _batch_request(n, batch_id="b-1"):
+        batch = ProvenanceBatch()
+        for i in range(n):
+            batch.append(handle=f"h{i}", data_hash="aa" * 32,
+                         event="received", actor="c")
+        return batch.request(batch_id)
+
+    @staticmethod
+    def _counting(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_each_transaction_is_encoded_once(self, monkeypatch):
+        network = standard_network(seed=8, batch_size=10)
+        requests = [self._batch_request(8)] + TestSubmitBatch._requests(3)
+        encodings = self._counting(monkeypatch, ledger, "canonical_json")
+        txs = network.submit_batch("ingestion-service", requests)
+        network.flush()
+        assert len(network.peers) == 4
+        assert len(encodings) == len(txs) == 4
+        assert network.peers_converged()
+
+    def test_committing_peers_do_not_recompute_leaves(self, monkeypatch):
+        network = standard_network(seed=8)
+        request = self._batch_request(8)
+        leaves = self._counting(monkeypatch, chaincode,
+                                "provenance_event_leaf")
+        network.submit_batch("ingestion-service", [request])
+        assert len(leaves) == 2 * 8  # each endorser checks the root
+        network.flush()
+        assert len(leaves) == 2 * 8
+        assert network.peers_converged()
+        assert network.query("provenance", "get_history", handle="h3")[0][
+            "meta"] == {"batch": "b-1", "leaf": 3}
+
+    def test_one_signature_check_per_endorser_per_block(self,
+                                                         monkeypatch):
+        network = standard_network(seed=8)
+        txs = network.submit_batch("ingestion-service",
+                                   TestSubmitBatch._requests(3))
+        checks = self._counting(monkeypatch, MembershipServiceProvider,
+                                "verify_batch")
+        network.flush()
+        endorsers = {member_id for tx in txs
+                     for member_id, _ in tx.endorsements}
+        assert sorted(member_id for _, member_id, _ in checks) == sorted(
+            endorsers)
+        assert all(peer.ledger.height == 1 for peer in network.peers)
+        assert network.peers_converged()
+
+    def test_a_bad_signature_fails_on_every_peer(self):
+        network = standard_network(seed=8, batch_size=1)
+        tx = network.submit("ingestion-service", "provenance",
+                            "record_event", handle="forged",
+                            data_hash="aa" * 32, event="received",
+                            actor="c")
+        (member_id, signature), other = tx.endorsements
+        flipped = bytes([signature[0] ^ 1]) + signature[1:]
+        network.orderer._pending[-1] = tx.with_endorsements(
+            [(member_id, flipped), other])
+        network.flush()
+        assert all(peer.ledger.height == 1 for peer in network.peers)
+        assert not any(peer.query("provenance", "get_history",
+                                  handle="forged")
+                       for peer in network.peers)
+
+    def test_an_in_place_rewrite_fails_the_chain_walk(self):
+        """The kept payload serves the write path only; the audit walk
+        re-encodes, so it still sees a committed event changed in place."""
+        network = standard_network(seed=8)
+        network.submit_batch("ingestion-service", [self._batch_request(4)])
+        network.flush()
+        chain = network.peers[0].ledger
+        assert chain.verify()
+        [tx] = chain.block(0).transactions
+        tx.args["events"][2]["data_hash"] = "f0" * 32
+        with pytest.raises(LedgerError):
+            chain.verify()
+
+    def test_apply_skips_the_argument_check(self):
+        """Committing peers apply a batch the endorsers checked; a direct
+        ``invoke`` still checks."""
+        _, _, args = self._batch_request(2)
+        bad = {**args, "merkle_root": "00" * 32}
+        contract = ProvenanceContract()
+        with pytest.raises(ValidationError):
+            contract.invoke(WorldState(), "record_batch", bad)
+        assert contract.apply(WorldState(), "record_batch", bad) == [0, 0]
 
 
 class TestEndorsementFailureVisibility:

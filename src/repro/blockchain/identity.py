@@ -43,52 +43,75 @@ class MemberIdentity:
     roles: frozenset  # e.g. {"peer"}, {"client"}, {"auditor"}
 
 
+@dataclass(frozen=True)
+class Enrolment:
+    """What enrolment fixes about a member: its organization, its roles
+    and the seed its keypair is generated from on first use."""
+
+    organization: str
+    roles: frozenset
+    key_seed: Optional[int]
+
+
 class MembershipServiceProvider:
-    """Registry of enrolled members; verifies member signatures."""
+    """Registry of enrolled members; verifies member signatures.
+
+    A member's keypair is generated the first time something needs it (a
+    signature, a verification or its public key), from a seed fixed at
+    enrolment, so no order of first use changes the key a member gets.
+    """
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self._seed = seed
-        self._members: Dict[str, MemberIdentity] = {}
+        self._enrolments: Dict[str, Enrolment] = {}
         self._keys: Dict[str, RsaPrivateKey] = {}  # held by members, kept here for the sim
-        self._counter = 0
 
     def enroll(self, member_id: str, organization: str,
-               roles: Optional[Set[str]] = None) -> MemberIdentity:
-        """Enroll a member, generating its signing keypair."""
-        if member_id in self._members:
+               roles: Optional[Set[str]] = None) -> None:
+        """Enroll a member; its keypair waits for first use."""
+        if member_id in self._enrolments:
             raise AuthenticationError(f"member {member_id} already enrolled")
-        self._counter += 1
         key_seed = (None if self._seed is None
-                    else self._seed * 65_537 + self._counter)
-        private = generate_keypair(bits=1024, seed=key_seed)
-        identity = MemberIdentity(member_id, organization,
-                                  private.public_key(),
-                                  frozenset(roles or {"client"}))
-        self._members[member_id] = identity
-        self._keys[member_id] = private
-        return identity
+                    else self._seed * 65_537 + len(self._enrolments) + 1)
+        self._enrolments[member_id] = Enrolment(
+            organization, frozenset(roles or {"client"}), key_seed)
 
-    def identity(self, member_id: str) -> MemberIdentity:
+    def enrolment(self, member_id: str) -> Enrolment:
+        """A member's organization and roles, read without its key."""
         try:
-            return self._members[member_id]
+            return self._enrolments[member_id]
         except KeyError:
             raise NotFoundError(f"member {member_id} not enrolled") from None
+
+    def _key(self, member_id: str) -> Optional[RsaPrivateKey]:
+        """The member's keypair, generated on first use; None for a name
+        never enrolled."""
+        if member_id not in self._keys and member_id in self._enrolments:
+            self._keys[member_id] = generate_keypair(
+                bits=1024, seed=self._enrolments[member_id].key_seed)
+        return self._keys.get(member_id)
+
+    def identity(self, member_id: str) -> MemberIdentity:
+        key = self.signing_key(member_id)
+        enrolment = self._enrolments[member_id]
+        return MemberIdentity(member_id, enrolment.organization,
+                              key.public_key(), enrolment.roles)
 
     def signing_key(self, member_id: str) -> RsaPrivateKey:
         """The member's own key (members call this for themselves)."""
-        try:
-            return self._keys[member_id]
-        except KeyError:
-            raise NotFoundError(f"member {member_id} not enrolled") from None
+        key = self._key(member_id)
+        if key is None:
+            raise NotFoundError(f"member {member_id} not enrolled")
+        return key
 
     def sign_as(self, member_id: str, payload: bytes) -> bytes:
         return rsa_sign(self.signing_key(member_id), payload)
 
     def verify(self, member_id: str, payload: bytes, signature: bytes) -> bool:
-        member = self._members.get(member_id)
-        if member is None:
+        key = self._key(member_id)
+        if key is None:
             return False
-        return rsa_verify(member.public_key, payload, signature)
+        return rsa_verify(key.public_key(), payload, signature)
 
     def verify_batch(self, member_id: str,
                      pairs: List[Tuple[bytes, bytes]]) -> List[bool]:
@@ -99,16 +122,18 @@ class MembershipServiceProvider:
         pinpoints invalid signatures; block validation batches each
         endorser's signatures across a whole block through this.
         """
-        member = self._members.get(member_id)
-        if member is None:
+        key = self._key(member_id)
+        if key is None:
             return [False] * len(pairs)
-        return rsa_verify_batch(member.public_key, pairs)
+        return rsa_verify_batch(key.public_key(), pairs)
 
     def members_with_role(self, role: str) -> List[MemberIdentity]:
-        return [m for m in self._members.values() if role in m.roles]
+        return [self.identity(member_id)
+                for member_id, enrolment in self._enrolments.items()
+                if role in enrolment.roles]
 
     def organizations(self) -> Set[str]:
-        return {m.organization for m in self._members.values()}
+        return {e.organization for e in self._enrolments.values()}
 
 
 @dataclass(frozen=True)

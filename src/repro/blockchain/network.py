@@ -119,7 +119,7 @@ class Peer:
             return False
         orgs: Dict[str, str] = {}  # member id -> organization
         for member_id, _ in tx.endorsements:
-            member = self._msp.identity(member_id)
+            member = self._msp.enrolment(member_id)
             if "peer" in member.roles:
                 orgs[member_id] = member.organization
         return policy.satisfied_by(list(orgs.values()))
@@ -334,7 +334,7 @@ class BlockchainNetwork:
 
     def endorsing_peers(self) -> List[Peer]:
         return [p for p in self.peers
-                if "peer" in self.msp.identity(p.member_id).roles]
+                if "peer" in self.msp.enrolment(p.member_id).roles]
 
     def _endorsement_order(self, tx_number: int) -> List[Peer]:
         """The endorsing peers in the order the client asks them.
@@ -590,7 +590,8 @@ ORGANIZATIONS = ("sender-org", "provider-org", "data-protection-org",
 def consortium_msp(seed: Optional[int]) -> MembershipServiceProvider:
     """Enrol the Fig. 6 consortium: each organization's peer member,
     then the ingestion service and the auditor.  Every channel shares
-    these six identities; the enrolment order fixes each key's seed."""
+    these six identities; the enrolment order fixes each key's seed, and
+    each key is generated on its member's first use."""
     msp = MembershipServiceProvider(seed=seed)
     for org in ORGANIZATIONS:
         msp.enroll(f"peer.{org}", org, roles={"peer"})

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import networkx as nx
-
 from ..core.errors import ConfigurationError, NotFoundError, ServiceUnavailableError
 from .clock import SimClock
 
@@ -51,6 +49,9 @@ class NetworkFabric:
     """Latency/bandwidth model over a set of named endpoints."""
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
+        # Imported here, not at module level: only a fabric builds or
+        # searches a graph, and ``import repro`` should not pay for it.
+        import networkx as nx
         self.clock = clock if clock is not None else SimClock()
         self._graph = nx.Graph()
         self._partitioned: set = set()
@@ -88,12 +89,14 @@ class NetworkFabric:
             return False
         if src not in self._graph or dst not in self._graph:
             return False
+        import networkx as nx
         return nx.has_path(self._graph, src, dst)
 
     def route(self, src: str, dst: str) -> List[str]:
         """Lowest-latency path between two endpoints."""
         if not self.is_reachable(src, dst):
             raise NotFoundError(f"no route {src!r} -> {dst!r}")
+        import networkx as nx
         return nx.shortest_path(
             self._graph, src, dst, weight=lambda u, v, d: d["link"].latency_s
         )

@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from ..core.canonical import canonical_json
 from ..core.errors import IntegrityError
+
+if TYPE_CHECKING:  # annotations only: callers build the graphs
+    import networkx as nx
 
 
 def _tag(key: bytes, kind: bytes, payload: bytes) -> bytes:

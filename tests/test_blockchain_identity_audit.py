@@ -2,14 +2,20 @@
 
 import pytest
 
-from repro.blockchain import standard_network
+import repro.blockchain.identity as identity_module
+from repro import HealthCloudPlatform
+from repro.blockchain import ShardedBlockchainNetwork, standard_network
 from repro.blockchain.audit import AuditorView, CentralizedProvenanceDb
 from repro.blockchain.identity import (
     MembershipServiceProvider,
     PseudonymVerifier,
     SelfSovereignIdentity,
 )
+from repro.blockchain.network import ORGANIZATIONS, consortium_msp
 from repro.core.errors import AuthenticationError, LedgerError, NotFoundError
+from repro.crypto.rsa import generate_keypair, rsa_verify
+from repro.fhir.resources import Bundle, Observation, Patient
+from repro.ingestion.pipeline import encrypt_bundle_for_upload
 
 
 class TestMsp:
@@ -38,6 +44,116 @@ class TestMsp:
         msp.enroll("c1", "org-b", roles={"client"})
         assert [m.member_id for m in msp.members_with_role("peer")] == ["p1"]
         assert msp.organizations() == {"org-a", "org-b"}
+
+
+# The consortium in enrolment order.
+CONSORTIUM = [f"peer.{org}" for org in ORGANIZATIONS] + ["ingestion-service",
+                                                         "auditor"]
+
+
+def _key_seed(seed, member_id):
+    """Member k of the consortium draws its key from seed * 65537 + k."""
+    return seed * 65_537 + CONSORTIUM.index(member_id) + 1
+
+
+def _eager_key(seed, member_id):
+    """The key enrolment generated for ``member_id`` before keys waited
+    for first use."""
+    return generate_keypair(bits=1024, seed=_key_seed(seed, member_id))
+
+
+@pytest.fixture
+def keygens(monkeypatch):
+    """Seeds of the member keypairs the MSP generates during the test."""
+    seeds = []
+    real = identity_module.generate_keypair
+
+    def counting(*args, **kwargs):
+        seeds.append(kwargs.get("seed"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(identity_module, "generate_keypair", counting)
+    return seeds
+
+
+class TestKeysOnFirstUse:
+    def test_building_a_platform_or_a_sharded_network_generates_no_key(
+            self, keygens):
+        platform = HealthCloudPlatform(seed=7)
+        sharded = ShardedBlockchainNetwork(4, seed=7)
+        # Roles and organizations are read without a key.
+        for channel in (platform.blockchain, *sharded.channels):
+            assert len(channel.endorsing_peers()) == 4
+        assert sharded.msp.organizations() == set(ORGANIZATIONS)
+        assert sharded.msp.enrolment("auditor").roles == {"auditor"}
+        assert keygens == []
+
+    def test_after_the_first_flush_only_the_signers_have_keys(self,
+                                                              keygens):
+        platform = HealthCloudPlatform(seed=7)
+        context = platform.register_tenant("acme")
+        group = platform.rbac.create_group(context.tenant.tenant_id, "study")
+        registration = platform.ingestion.register_client("client-1")
+        platform.consent.grant("pt-1", group.group_id)
+        bundle = Bundle(id="b1")
+        bundle.add(Patient(id="pt-1", name={"family": "Doe"},
+                           birthDate="1980-03-12", gender="female"))
+        bundle.add(Observation(id="pt-1-obs", code={"text": "HbA1c"},
+                               subject="Patient/pt-1",
+                               valueQuantity={"value": 7.0, "unit": "%"}))
+        platform.ingestion.upload(
+            "client-1", encrypt_bundle_for_upload(bundle, registration),
+            group.group_id)
+        platform.run_ingestion()
+        ledger = platform.blockchain.peers[0].ledger
+        assert ledger.height >= 1
+        signers = {member_id for tx in ledger.transactions()
+                   for member_id, _ in tx.endorsements}
+        assert signers
+        assert sorted(keygens) == sorted(_key_seed(7, member_id)
+                                         for member_id in signers)
+        for member_id in signers:
+            assert (platform.blockchain.msp.signing_key(member_id)
+                    == _eager_key(7, member_id))
+        assert len(keygens) == len(signers)  # reading them generated none
+
+    def test_order_of_first_use_does_not_change_a_key(self, keygens):
+        msp = consortium_msp(7)
+        audit_signature = msp.sign_as("peer.audit-org", b"first")
+        assert keygens == [_key_seed(7, "peer.audit-org")]
+        sender_signature = msp.sign_as("peer.sender-org", b"second")
+        assert keygens == [_key_seed(7, "peer.audit-org"),
+                           _key_seed(7, "peer.sender-org")]
+        for member_id, payload, signature in (
+                ("peer.audit-org", b"first", audit_signature),
+                ("peer.sender-org", b"second", sender_signature)):
+            eager = _eager_key(7, member_id)
+            assert msp.signing_key(member_id) == eager
+            assert msp.identity(member_id).public_key == eager.public_key()
+            assert rsa_verify(eager.public_key(), payload, signature)
+        assert len(keygens) == 2
+
+    def test_a_name_never_enrolled_gets_no_key(self, keygens):
+        msp = consortium_msp(7)
+        assert not msp.verify("ghost", b"x", b"y")
+        assert msp.verify_batch("ghost", [(b"x", b"y"), (b"z", b"w")]) == [
+            False, False]
+        for read in (msp.identity, msp.signing_key, msp.enrolment):
+            with pytest.raises(NotFoundError):
+                read("ghost")
+        with pytest.raises(AuthenticationError):
+            msp.enroll("auditor", "audit-org", roles={"auditor"})
+        assert keygens == []
+
+    def test_an_unseeded_member_keeps_its_first_key(self):
+        msp = MembershipServiceProvider()
+        msp.enroll("alice", "org-a")
+        first = msp.sign_as("alice", b"one")
+        public = msp.identity("alice").public_key
+        second = msp.sign_as("alice", b"two")
+        assert rsa_verify(public, b"one", first)
+        assert rsa_verify(public, b"two", second)
+        assert msp.verify("alice", b"two", second)
 
 
 class TestSelfSovereignIdentity:

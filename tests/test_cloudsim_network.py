@@ -1,7 +1,13 @@
 """Tests for the simulated network fabric."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cloudsim.clock import SimClock
 from repro.cloudsim.network import Link, NetworkFabric, standard_topology
 from repro.core.errors import ConfigurationError, NotFoundError
@@ -108,3 +114,29 @@ class TestStandardTopology:
         for target in ("cloud-a", "cloud-b", "external-kb",
                        "cloud-a-storage", "cloud-b-storage"):
             assert fabric.is_reachable("client", target)
+
+
+# Run in a fresh interpreter: set-up must not load networkx, and the first
+# fabric that routes a transfer loads it and still works.
+_COLD_START = """
+import sys
+import repro
+from repro.blockchain import ShardedBlockchainNetwork
+repro.HealthCloudPlatform(seed=0)
+ShardedBlockchainNetwork(2, seed=0)
+assert "networkx" not in sys.modules, "set-up loaded networkx"
+from repro.cloudsim.network import standard_topology
+record = standard_topology().transfer("client", "cloud-b-storage", 1000)
+assert record.hops == ("client", "cloud-b", "cloud-b-storage"), record
+assert "networkx" in sys.modules
+"""
+
+
+class TestColdStart:
+    def test_setup_leaves_networkx_unloaded_until_a_fabric_routes(self):
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_START],
+            env={**os.environ, "PYTHONPATH": source_root},
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -1,5 +1,5 @@
-"""Every name a module under ``src/repro/``, ``tests/`` or ``benchmarks/``
-imports is used in it.
+"""Every name a module under ``src/repro/``, ``tests/``, ``benchmarks/`` or
+``examples/`` imports is used in it.
 
 Package ``__init__.py`` files import to re-export, so they are skipped.
 ``perfbench/`` is not walked: it is the wall-clock benchmark, and its
@@ -13,7 +13,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TREES = (ROOT / "src" / "repro", ROOT / "tests", ROOT / "benchmarks")
+TREES = (ROOT / "src" / "repro", ROOT / "tests", ROOT / "benchmarks",
+         ROOT / "examples")
 MODULES = sorted(path for tree in TREES for path in tree.rglob("*.py")
                  if path.name != "__init__.py")
 
@@ -58,7 +59,8 @@ def used_names(tree):
 def test_every_module_uses_every_name_it_imports():
     assert {ROOT / "src" / "repro" / "core" / "api.py",
             Path(__file__).resolve(),
-            ROOT / "benchmarks" / "conftest.py"} <= set(MODULES)
+            ROOT / "benchmarks" / "conftest.py",
+            ROOT / "examples" / "quickstart.py"} <= set(MODULES)
     unused = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))

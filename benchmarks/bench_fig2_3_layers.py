@@ -9,7 +9,7 @@ security in.
 
 import pytest
 
-from repro.blockchain import standard_network
+from repro.blockchain import ProvenanceBatch, standard_network
 from repro.crypto.rsa import generate_keypair, hybrid_decrypt, hybrid_encrypt
 from repro.crypto.symmetric import SharedKeyCipher, generate_key
 from repro.fhir import Bundle, BundleValidator, Observation, Patient
@@ -98,9 +98,11 @@ def test_layer_provenance_transaction(benchmark):
 
     def run():
         counter[0] += 1
-        network.invoke("ingestion-service", "provenance", "record_event",
-                       handle=f"h-{counter[0]}", data_hash="ab" * 32,
-                       event="received", actor="bench")
+        batch = ProvenanceBatch()
+        batch.append(handle=f"h-{counter[0]}", data_hash="ab" * 32,
+                     event="received", actor="bench")
+        chaincode, method, args = batch.request(f"e2-{counter[0]}")
+        network.invoke("ingestion-service", chaincode, method, **args)
 
     benchmark(run)
     show("E2: provenance layer",

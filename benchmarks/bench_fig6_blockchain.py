@@ -11,11 +11,24 @@ but is the only side with integrity guarantees.
 
 import pytest
 
-from repro.blockchain import AuditorView, CentralizedProvenanceDb, standard_network
+from repro.blockchain import (
+    AuditorView,
+    CentralizedProvenanceDb,
+    ProvenanceBatch,
+    standard_network,
+)
 
 from conftest import show
 
 N_EVENTS = 60
+
+
+def _submit_event(network, batch_id, **event):
+    """Endorse one provenance event: a one-leaf ``record_batch``."""
+    batch = ProvenanceBatch()
+    batch.append(**event)
+    chaincode, method, args = batch.request(batch_id)
+    network.submit("ingestion-service", chaincode, method, **args)
 
 
 @pytest.mark.benchmark(group="fig6-blockchain")
@@ -27,9 +40,9 @@ def test_fig6_ledger_writes(benchmark):
         counter[0] += 1
         network = standard_network(seed=counter[0], batch_size=10)
         for i in range(N_EVENTS):
-            network.submit("ingestion-service", "provenance", "record_event",
-                           handle=f"h{i}", data_hash=f"{i % 97:02x}" * 32,
-                           event="received", actor="bench")
+            _submit_event(network, f"e5-{i}", handle=f"h{i}",
+                          data_hash=f"{i % 97:02x}" * 32, event="received",
+                          actor="bench")
         network.flush()
         return network
 
@@ -58,9 +71,9 @@ def test_fig6_audit_query(benchmark):
     """Auditor view search over a populated ledger."""
     network = standard_network(seed=42, batch_size=10)
     for i in range(N_EVENTS):
-        network.submit("ingestion-service", "provenance", "record_event",
-                       handle=f"h{i % 7}", data_hash="aa" * 32,
-                       event="received", actor=f"client-{i % 3}")
+        _submit_event(network, f"e5-{i}", handle=f"h{i % 7}",
+                      data_hash="aa" * 32, event="received",
+                      actor=f"client-{i % 3}")
     network.flush()
     view = AuditorView(network)
 
@@ -79,9 +92,8 @@ def test_fig6_tamper_evidence(benchmark):
     def run():
         network = standard_network(seed=77, batch_size=5)
         for i in range(10):
-            network.submit("ingestion-service", "provenance",
-                           "record_event", handle=f"h{i}",
-                           data_hash="aa" * 32, event="received", actor="c")
+            _submit_event(network, f"e5-{i}", handle=f"h{i}",
+                          data_hash="aa" * 32, event="received", actor="c")
         network.flush()
         view = AuditorView(network)
         assert view.verify_integrity()

@@ -24,7 +24,11 @@ import json
 
 import pytest
 
-from repro.blockchain import EndorsementPolicy, standard_network
+from repro.blockchain import (
+    EndorsementPolicy,
+    ProvenanceBatch,
+    standard_network,
+)
 from repro.cloudsim.clock import SimClock
 from repro.cloudsim.faults import FaultPlan
 from repro.cloudsim.monitoring import MonitoringService
@@ -125,10 +129,11 @@ def _run_scenario(seed, resilient, drop_rate, n_bundles=N_BUNDLES):
                 fabric.transfer("client", "cloud-a", UPLOAD_BYTES)
                 primary = registry.ranked_services("text-extraction")[0]
                 registry.invoke(primary, f"doc-{i}")
-            network.submit("ingestion-service", "provenance",
-                           "record_event", handle=f"h-{i}",
-                           data_hash=f"{i:064x}", event="stored",
-                           actor="ingestion-service")
+            batch = ProvenanceBatch()
+            batch.append(handle=f"h-{i}", data_hash=f"{i:064x}",
+                         event="stored", actor="ingestion-service")
+            network.submit_batch("ingestion-service",
+                                 [batch.request(f"p3-{i}")])
         except Exception as exc:
             kind = type(exc).__name__
             failures[kind] = failures.get(kind, 0) + 1

@@ -23,12 +23,13 @@ Standalone mode for CI::
 """
 
 import argparse
+import itertools
 import json
 import time
 
 import pytest
 
-from repro.blockchain import standard_network
+from repro.blockchain import ProvenanceBatch, standard_network
 from repro.caching.hierarchy import CacheHierarchy, CacheLevel, Origin
 from repro.caching.policies import make_cache
 from repro.cloudsim.clock import SimClock
@@ -118,13 +119,17 @@ def _world(traced=True, faulted=False):
     gateway = ApiGateway(rbac, federation, monitoring=monitoring,
                          clock=clock, rate_limit=10 ** 9, tracer=tracer)
 
+    batch_ids = itertools.count(1)
+
     def lookup_handler(context, key):
         result = hierarchy.get(key)
         if result.served_by == hierarchy.origin.name:
             # Cache miss hit the authoritative source: record provenance.
-            net.submit("ingestion-service", "provenance", "record_event",
-                       handle=f"term-{key}", data_hash="aa" * 32,
-                       event="received", actor="client")
+            batch = ProvenanceBatch()
+            batch.append(handle=f"term-{key}", data_hash="aa" * 32,
+                         event="received", actor="client")
+            net.submit_batch("ingestion-service",
+                             [batch.request(f"term-{next(batch_ids)}")])
             net.flush()
         return {"value": result.value}
 

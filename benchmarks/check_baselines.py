@@ -6,10 +6,12 @@ temporary file and byte-compares it with its committed copy under
 dotted path with the committed and the fresh value.  Then runs each
 ``perfbench`` workload to its sim digest, on the seed recorded in
 ``baselines/perfbench_digests.json``, and compares the digest that
-``perfbench/run.py`` prints with the committed one.  The script exits
-non-zero on any difference or on a run that fails.  A change that moves
-simulated output regenerates the committed files in the same commit, so
-``git diff`` records what moved::
+``perfbench/run.py`` prints with the committed one.  Last, runs each
+``examples/*.py`` script and byte-compares its stdout with
+``baselines/examples/<name>.txt``, printing the first line that differs.
+The script exits non-zero on any difference or on a run that fails.  A
+change that moves simulated output regenerates the committed files in the
+same commit, so ``git diff`` records what moved::
 
     PYTHONPATH=src python benchmarks/check_baselines.py
 """
@@ -20,6 +22,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -27,6 +30,7 @@ BASELINES = HERE / "baselines"
 ROOT = HERE.parent
 SRC = ROOT / "src"
 PERFBENCH_DIGESTS = BASELINES / "perfbench_digests.json"
+EXAMPLES = ROOT / "examples"
 
 # bench script -> the JSON it writes with ``--quick``.
 BENCHES = (
@@ -66,16 +70,21 @@ def field_diffs(committed, fresh, path="$"):
     return [(path, committed, fresh)]
 
 
-def check(bench, output, workdir):
-    """Run one bench; return the lines describing how it differs."""
-    fresh_path = Path(workdir) / output
+def source_env():
+    """The environment with ``src/`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+def check(bench, output, workdir):
+    """Run one bench; return the lines describing how it differs."""
+    fresh_path = Path(workdir) / output
     run = subprocess.run(
         [sys.executable, str(HERE / f"{bench}.py"), "--quick",
          "--output", str(fresh_path)],
-        cwd=workdir, env=env, stdout=subprocess.PIPE,
+        cwd=workdir, env=source_env(), stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT, text=True)
     if run.returncode != 0:
         return [f"exited {run.returncode}:", run.stdout[-2000:]]
@@ -108,6 +117,29 @@ def check_perfbench(workload, seed, committed):
     return []
 
 
+def check_example(script):
+    """Run one example; return the lines describing how its stdout
+    differs from the committed copy: the first line that differs."""
+    run = subprocess.run([sys.executable, str(script)], cwd=ROOT,
+                         env=source_env(), stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE)
+    if run.returncode != 0:
+        return [f"exited {run.returncode}:",
+                run.stderr.decode(errors="replace")[-2000:]]
+    committed_path = BASELINES / "examples" / f"{script.stem}.txt"
+    if not committed_path.exists():
+        return [f"no committed stdout at {committed_path.relative_to(ROOT)}"]
+    committed = committed_path.read_bytes()
+    if committed == run.stdout:
+        return []
+    pairs = zip_longest(committed.decode().splitlines(),
+                        run.stdout.decode(errors="replace").splitlines())
+    for number, (old, new) in enumerate(pairs, start=1):
+        if old != new:
+            return [f"line {number}: {old!r} -> {new!r}"]
+    return ["same lines, different bytes (line endings)"]
+
+
 def report(name, lines):
     """Print one output's verdict and its differences; True if it differs."""
     print(f"{name}: {'differs' if lines else 'identical'}", flush=True)
@@ -125,6 +157,9 @@ def main():
     for workload, digest in perfbench["digests"].items():
         verdicts.append(report(f"perfbench {workload}", check_perfbench(
             workload, perfbench["seed"], digest)))
+    for script in sorted(EXAMPLES.glob("*.py")):
+        verdicts.append(report(f"example {script.stem}",
+                               check_example(script)))
     failed = sum(verdicts)
     if failed:
         print(f"{failed} of {len(verdicts)} outputs differ from "

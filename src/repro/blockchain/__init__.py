@@ -17,6 +17,7 @@ from .chaincode import (
     CrossShardContract,
     MalwareContract,
     PrivacyContract,
+    ProvenanceBatch,
     ProvenanceContract,
     StudyContract,
     WorldState,
@@ -57,6 +58,7 @@ __all__ = [
     "ConsentContract",
     "MalwareContract",
     "PrivacyContract",
+    "ProvenanceBatch",
     "ProvenanceContract",
     "StudyContract",
     "WorldState",

@@ -14,12 +14,13 @@ tamper-evidence head-to-head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..core.errors import LedgerError
 from ..crypto.merkle import MerkleProof, MerkleTree, verify_proof
 from .chaincode import provenance_event_leaf
+from .ledger import Transaction
 from .network import BlockchainNetwork
 
 
@@ -37,12 +38,11 @@ class AuditFinding:
 
 @dataclass(frozen=True)
 class ProvenanceEvent:
-    """One provenance event, whether it landed alone or inside a batch.
+    """One provenance event: a leaf of an endorsed ``record_batch``.
 
-    For Merkle-batched events, ``batch_id``/``leaf_index``/``merkle_root``
-    locate the event inside its endorsed batch transaction so an inclusion
-    proof can be fetched and verified; for legacy single-event transactions
-    they are ``None`` (the endorsed transaction payload *is* the event).
+    ``batch_id``/``leaf_index``/``merkle_root`` locate the event inside
+    its batch transaction, so an inclusion proof can be fetched and
+    verified.
     """
 
     tx_id: str
@@ -51,10 +51,10 @@ class ProvenanceEvent:
     event: str
     data_hash: str
     actor: str
-    metadata: Dict[str, Any] = field(default_factory=dict)
-    batch_id: Optional[str] = None
-    leaf_index: Optional[int] = None
-    merkle_root: Optional[str] = None
+    metadata: Dict[str, Any]
+    batch_id: str
+    leaf_index: int
+    merkle_root: str
 
 
 class AuditorView:
@@ -100,25 +100,15 @@ class AuditorView:
         """Per-event provenance search directly over the committed ledger.
 
         Unlike :meth:`search`, which matches whole transactions, this
-        unpacks Merkle-batched provenance transactions so every per-stage
-        event stays individually queryable regardless of how it was
-        submitted.
+        unpacks every ``record_batch`` transaction, so each event stays
+        individually queryable whatever batch carried it.
         """
         found: List[ProvenanceEvent] = []
         for block in self._ledger().blocks():
             for tx in block.transactions:
-                if tx.chaincode != "provenance":
+                if (tx.chaincode, tx.method) != ("provenance", "record_batch"):
                     continue
-                if tx.method == "record_event":
-                    entries = [(None, None, None, tx.args)]
-                elif tx.method == "record_batch":
-                    entries = [
-                        (tx.args.get("batch_id"), i,
-                         tx.args.get("merkle_root"), entry)
-                        for i, entry in enumerate(tx.args.get("events", []))]
-                else:
-                    continue
-                for batch_id, leaf, root, entry in entries:
+                for leaf, entry in enumerate(tx.args.get("events", [])):
                     if handle is not None and entry.get("handle") != handle:
                         continue
                     if event is not None and entry.get("event") != event:
@@ -131,55 +121,50 @@ class AuditorView:
                         data_hash=entry.get("data_hash"),
                         actor=entry.get("actor"),
                         metadata=dict(entry.get("metadata") or {}),
-                        batch_id=batch_id, leaf_index=leaf, merkle_root=root))
+                        batch_id=tx.args.get("batch_id"), leaf_index=leaf,
+                        merkle_root=tx.args.get("merkle_root")))
         return found
 
     def event_proof(self, finding: ProvenanceEvent) -> Optional[MerkleProof]:
-        """Merkle inclusion proof for a batched event.
+        """Merkle inclusion proof for an event's leaf in its batch.
 
         Rebuilds the batch's tree from the committed transaction and
-        returns the authentication path for the event's leaf; ``None`` for
-        legacy single-event transactions, which need no inclusion proof.
+        returns the authentication path for the event's leaf; ``None``
+        when the transaction or the leaf is not on the ledger.
         """
-        if finding.batch_id is None or finding.leaf_index is None:
-            return None
         located = self._ledger().transaction_location(finding.tx_id)
         if located is None:
             return None
-        tx, _ = located
-        events = tx.args.get("events", [])
-        if finding.leaf_index >= len(events):
-            return None
-        tree = MerkleTree([provenance_event_leaf(e) for e in events])
-        return tree.proof(finding.leaf_index)
+        return self._leaf_proof(located[0], finding.leaf_index)
 
     def verify_event(self, finding: ProvenanceEvent) -> bool:
-        """Check an event's integrity anchor on the committed ledger.
+        """Check an event against the batch root its endorsers signed.
 
-        Batched events verify their Merkle inclusion proof against the
-        endorsed batch root; legacy single events verify that their
-        endorsed transaction is still on a chain that re-validates.  Either
-        way a mutated event fails.
+        The event's own leaf must verify its Merkle inclusion proof
+        against the root committed with its batch transaction, so a
+        mutated event, in the finding or in the committed batch, fails.
         """
         located = self._ledger().transaction_location(finding.tx_id)
         if located is None:
             return False
         tx, _ = located
-        if finding.batch_id is None:
-            return tx.args.get("handle") == finding.handle and \
-                tx.args.get("event") == finding.event and \
-                tx.args.get("data_hash") == finding.data_hash
+        proof = self._leaf_proof(tx, finding.leaf_index)
+        if proof is None or finding.merkle_root != tx.args.get("merkle_root"):
+            return False
+        leaf = provenance_event_leaf(
+            {"handle": finding.handle, "data_hash": finding.data_hash,
+             "event": finding.event, "actor": finding.actor,
+             "metadata": finding.metadata})
+        return verify_proof(bytes.fromhex(finding.merkle_root), leaf, proof)
+
+    @staticmethod
+    def _leaf_proof(tx: Transaction, leaf_index: int) -> Optional[MerkleProof]:
+        """Inclusion proof of leaf ``leaf_index`` of a batch transaction."""
         events = tx.args.get("events", [])
-        if finding.leaf_index is None or finding.leaf_index >= len(events):
-            return False
-        if finding.merkle_root != tx.args.get("merkle_root"):
-            return False
-        proof = self.event_proof(finding)
-        if proof is None:
-            return False
-        leaf = provenance_event_leaf(events[finding.leaf_index])
-        return verify_proof(bytes.fromhex(tx.args["merkle_root"]),
-                            leaf, proof)
+        if not 0 <= leaf_index < len(events):
+            return None
+        return MerkleTree([provenance_event_leaf(e)
+                           for e in events]).proof(leaf_index)
 
     def verify_integrity(self) -> bool:
         """Re-verify the full chain on every peer; True iff all consistent."""

@@ -45,7 +45,7 @@ def provenance_event_leaf(event: Dict[str, Any]) -> bytes:
 class ProvenanceBatch:
     """Provenance events growing into one ``record_batch`` request.
 
-    The one batch format every ingestion writer uses: each appended
+    The one way to write provenance, one event or many: each appended
     event's leaf is hashed into an incremental Merkle tree as it
     arrives, so sealing reads the root in O(log n) instead of rebuilding
     the tree (the roots are identical by construction).
@@ -199,20 +199,6 @@ class ProvenanceContract(Chaincode):
     EVENT_KINDS = ("received", "validated", "deidentified", "stored",
                    "retrieved", "anonymized", "exported", "deleted")
 
-    def invoke_record_event(self, state: WorldState, *, handle: str,
-                            data_hash: str, event: str, actor: str,
-                            metadata: Optional[Dict[str, Any]] = None) -> int:
-        """Append a provenance event; returns the event's sequence number."""
-        if event not in self.EVENT_KINDS:
-            raise ValidationError(f"unknown provenance event {event!r}")
-        key = f"prov/{handle}"
-        events: List[Dict[str, Any]] = state.get(key) or []
-        entry = {"seq": len(events), "event": event, "hash": data_hash,
-                 "actor": actor, "meta": dict(metadata or {})}
-        events = events + [entry]
-        state.put(key, events)
-        return entry["seq"]
-
     def check_record_batch(self, *, batch_id: str, merkle_root: str,
                            events: List[Dict[str, Any]]) -> None:
         """Endorsement-time check: the batch is non-empty and its root
@@ -230,12 +216,12 @@ class ProvenanceContract(Chaincode):
                             events: List[Dict[str, Any]]) -> List[int]:
         """Commit a Merkle-batched set of events in one transaction.
 
-        The fast path for high-rate submitters: one endorsed transaction
-        carries a whole batch of per-stage events under their Merkle root
-        (checked by :meth:`check_record_batch`).  Every event still lands
-        on its handle's chain (individually queryable), tagged with the
-        batch id and leaf index so auditors can fetch an inclusion proof
-        against the endorsed root.
+        The one way provenance lands on the ledger: one endorsed
+        transaction carries a batch of events (one or many) under their
+        Merkle root (checked by :meth:`check_record_batch`).  Every event
+        lands on its handle's chain (individually queryable), tagged with
+        the batch id and leaf index so auditors can fetch an inclusion
+        proof against the endorsed root.  A batch id is recorded once.
         """
         batch_key = f"provbatch/{batch_id}"
         if state.get(batch_key) is not None:

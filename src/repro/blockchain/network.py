@@ -261,12 +261,10 @@ class OrderingService:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def cut_block(self, height: int, prev_hash: str,
-                  force: bool = False) -> Optional[Block]:
-        """Cut a block when the batch is full (or on ``force``)."""
+    def cut_block(self, height: int, prev_hash: str) -> Optional[Block]:
+        """Cut a block of up to ``batch_size`` pending transactions;
+        ``None`` when nothing is pending."""
         if not self._pending:
-            return None
-        if len(self._pending) < self.batch_size and not force:
             return None
         batch, self._pending = (self._pending[:self.batch_size],
                                 self._pending[self.batch_size:])
@@ -352,56 +350,28 @@ class BlockchainNetwork:
 
     def submit(self, submitter: str, chaincode: str, method: str,
                **args: Any) -> Transaction:
-        """Full transaction flow up to ordering; returns the endorsed txn.
-
-        Asks endorsing peers one at a time and stops as soon as the
-        policy holds, as a Fabric client collects only the endorsements
-        its policy names; a failing peer moves the client on to the next
-        one.  Raises :class:`EndorsementError` when every peer was asked
-        and the policy (or the degraded policy) is still unmet.
-        """
-        tx = self._new_transaction(submitter, chaincode, method, args)
-        with maybe_span(self.tracer, "blockchain.endorse", "blockchain",
-                        tx=tx.tx_id, chaincode=chaincode,
-                        method=method, **self.span_tags) as span:
-            endorsements: List[Tuple[str, bytes]] = []
-            orgs: List[str] = []
-            for peer in self._endorsement_order(self._tx_counter):
-                try:
-                    endorsements.append(self._endorse(peer, tx))
-                    orgs.append(peer.organization)
-                    self._charge("endorse", self.ENDORSE_LATENCY)
-                except Exception as exc:
-                    # A failing endorser just doesn't sign — but degraded
-                    # endorsement must be visible to operators and benches.
-                    self._endorsement_failed(peer, tx, exc)
-                    span.add_event("endorsement_failed", self.clock.now,
-                                   peer=peer.peer_id)
-                    continue
-                if self.policy.satisfied_by(orgs):
-                    break
-            span.set_attribute("endorsements", len(endorsements))
-            self._require_quorum(tx, endorsements, orgs)
-            endorsed = tx.with_endorsements(endorsements)
-            self.orderer.submit(endorsed)
-            return endorsed
+        """Endorse one proposal and order it: a batch of one (see
+        :meth:`submit_batch`); returns the endorsed transaction."""
+        return self.submit_batch(submitter, [(chaincode, method, args)])[0]
 
     def submit_batch(self, submitter: str,
                      requests: Iterable[Tuple[str, str, Dict[str, Any]]]
                      ) -> List[Transaction]:
         """Endorse a batch of proposals with one round-trip per peer.
 
-        ``requests`` is a sequence of ``(chaincode, method, args)``
-        proposals.  Where :meth:`submit` pays one endorsement round-trip
-        per transaction per peer, this amortizes the trip: each visited
-        peer signs the batch in a single visit (``ENDORSE_LATENCY``
-        advances once per visit, not once per transaction per peer).  A
-        visit signs only the transactions still short of the policy, and
-        the visits stop once none is, so a healthy batch under the
-        default policy costs two trips.  The endorsement signatures are
-        still per transaction, so validation semantics are unchanged.
-        Raises :class:`EndorsementError` if any transaction in the batch
-        cannot meet the policy; nothing is ordered in that case.
+        The one endorsement loop of the channel.  ``requests`` is a
+        sequence of ``(chaincode, method, args)`` proposals.  Endorsing
+        peers are visited one at a time, as a Fabric client collects
+        only the endorsements its policy names; each visited peer signs
+        the batch in a single visit, and ``ENDORSE_LATENCY`` advances
+        once per visit (a down peer's included), not once per
+        transaction.  A visit signs only the transactions still short of
+        the policy, and the visits stop once none is, so a healthy batch
+        under the default policy costs two trips.  The endorsement
+        signatures are per transaction.  Raises :class:`EndorsementError`
+        if any transaction in the batch cannot meet the policy (or the
+        degraded policy) once every peer was asked; nothing is ordered in
+        that case.
         """
         txs = [self._new_transaction(submitter, chaincode, method, args)
                for chaincode, method, args in requests]
@@ -431,7 +401,7 @@ class BlockchainNetwork:
                          if not self.policy.satisfied_by(orgs[i])]
         endorsed_batch: List[Transaction] = []
         for tx, tx_endorsements, tx_orgs in zip(txs, endorsements, orgs):
-            self._require_quorum(tx, tx_endorsements, tx_orgs, in_batch=True)
+            self._require_quorum(tx, tx_endorsements, tx_orgs)
             endorsed_batch.append(tx.with_endorsements(tx_endorsements))
         for endorsed in endorsed_batch:
             self.orderer.submit(endorsed)
@@ -465,7 +435,7 @@ class BlockchainNetwork:
 
     def _require_quorum(self, tx: Transaction,
                         endorsements: List[Tuple[str, bytes]],
-                        orgs: List[str], in_batch: bool = False) -> None:
+                        orgs: List[str]) -> None:
         """Enforce the endorsement policy, degrading if configured.
 
         When the full policy is unmet but ``degraded_policy`` is satisfied,
@@ -487,9 +457,8 @@ class BlockchainNetwork:
                 f"{self.policy.min_organizations})",
                 level="WARN", tx=tx.tx_id, degraded=True)
             return
-        where = " in batch" if in_batch else ""
         raise EndorsementError(
-            f"tx {tx.tx_id}: endorsement policy unmet{where} "
+            f"tx {tx.tx_id}: endorsement policy unmet "
             f"({len(endorsements)} endorsements from {set(orgs)})")
 
     def _endorsement_failed(self, peer: Peer, tx: Transaction,
@@ -505,7 +474,7 @@ class BlockchainNetwork:
             level="WARN", peer=peer.peer_id, tx=tx.tx_id)
 
     def flush(self) -> List[Block]:
-        """Cut and commit every pending block (force the final partial one)."""
+        """Cut and commit every pending block (the last may be partial)."""
         committed: List[Block] = []
         with maybe_span(self.tracer, "blockchain.commit", "blockchain",
                         **self.span_tags) as span:
@@ -513,7 +482,7 @@ class BlockchainNetwork:
                 reference = self.peers[0].ledger if self.peers else None
                 height = reference.height if reference else 0
                 prev = reference.tip_hash if reference else "0" * 64
-                block = self.orderer.cut_block(height, prev, force=True)
+                block = self.orderer.cut_block(height, prev)
                 if block is None:
                     break
                 self._charge("order", self.ORDER_LATENCY)

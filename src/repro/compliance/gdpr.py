@@ -9,9 +9,12 @@ implements end to end:
 
 * **right to erasure** — revoke every consent, crypto-delete the subject's
   data-lake keys, and land a ``deleted`` provenance event on the ledger
-  (the erasure itself must be demonstrable);
+  as a one-leaf batch (the erasure itself must be demonstrable, and an
+  auditor proves it like any other event);
 * **right of access** — assemble what the platform holds about a subject:
-  stored record versions, consent history, and provenance events.
+  stored record versions, consent history, and provenance events: those
+  of each ingestion job that stored the subject's records, then the
+  subject's own.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from ..blockchain.chaincode import ProvenanceBatch
 from ..blockchain.network import BlockchainNetwork
 from ..ingestion.datalake import DataLake
 from ..privacy.consent import ConsentManagementService
@@ -68,11 +72,17 @@ class GdprService:
         if self.blockchain is not None:
             erasure_hash = hashlib.sha256(
                 f"erased:{patient_ref}".encode()).hexdigest()
-            self.blockchain.invoke(
-                "ingestion-service", "provenance", "record_event",
-                handle=patient_ref, data_hash=erasure_hash, event="deleted",
-                actor="gdpr-service",
-                metadata={"reason": "right-to-forget"})
+            batch = ProvenanceBatch()
+            batch.append(handle=patient_ref, data_hash=erasure_hash,
+                         event="deleted", actor="gdpr-service",
+                         metadata={"reason": "right-to-forget"})
+            # Each erasure lengthens the subject's chain, so its length
+            # names a batch id no earlier erasure of this subject used.
+            chain_length = len(self._history(patient_ref))
+            chaincode, method, args = batch.request(
+                f"erasure-{patient_ref}-{chain_length:04d}")
+            self.blockchain.invoke("ingestion-service", chaincode, method,
+                                   **args)
             provenance_recorded = True
         return ErasureReceipt(
             patient_id=patient_id,
@@ -96,8 +106,12 @@ class GdprService:
         ]
         events: List[Dict[str, Any]] = []
         if self.blockchain is not None:
-            events = self.blockchain.query("provenance", "get_history",
-                                           handle=patient_ref)
+            # Ingestion keys its events by job; the lake's record metadata
+            # links each of the subject's records to the job that stored it.
+            handles = [self.datalake.metadata_of(r["record_id"]).get("job")
+                       for r in records] + [patient_ref]
+            for handle in dict.fromkeys(h for h in handles if h):
+                events.extend(self._history(handle))
         return SubjectAccessReport(
             patient_id=patient_id,
             patient_ref=patient_ref,
@@ -105,3 +119,7 @@ class GdprService:
             consents=consents,
             provenance_events=events,
         )
+
+    def _history(self, handle: str) -> List[Dict[str, Any]]:
+        return self.blockchain.query("provenance", "get_history",
+                                     handle=handle)

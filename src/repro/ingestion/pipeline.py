@@ -154,10 +154,6 @@ class IngestionService:
         self._job_counter = 0
         self._key_seed = key_seed
         self.reidentification = ReidentificationMap()
-        # Provenance fast path: with a batch size > 1, per-stage events are
-        # accumulated and committed as one Merkle-batched transaction per
-        # flush instead of one endorsed transaction per event; 1 keeps the
-        # paper's original event-per-transaction behaviour.
         self.provenance_batch_size = provenance_batch_size
         self.tracer = None   # optional request-path tracing hook
         # The open batch and its verdict reports are kept until their
@@ -383,14 +379,9 @@ class IngestionService:
                     event: str) -> None:
         if self.blockchain is None:
             return
-        record = {"handle": job.job_id, "data_hash": data_hash,
-                  "event": event, "actor": job.client_id,
-                  "metadata": {"group": job.group_id}}
-        if self.provenance_batch_size > 1:
-            self._batch.append(**record)
-        else:
-            self.blockchain.submit(SUBMITTER, "provenance",
-                                   "record_event", **record)
+        self._batch.append(handle=job.job_id, data_hash=data_hash,
+                           event=event, actor=job.client_id,
+                           metadata={"group": job.group_id})
 
     def _malware_report(self, job: IngestionJob, scan) -> None:
         action = "dropped" if scan.action == "drop" else "sanitized"
@@ -409,10 +400,7 @@ class IngestionService:
                 args: Dict[str, Any]) -> None:
         if self.blockchain is None:
             return
-        if self.provenance_batch_size > 1:
-            self._report_buffer.append((chaincode, method, args))
-        else:
-            self.blockchain.submit(SUBMITTER, chaincode, method, **args)
+        self._report_buffer.append((chaincode, method, args))
 
     def _job(self, job_id: str) -> IngestionJob:
         try:

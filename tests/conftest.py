@@ -6,8 +6,12 @@ cohort, RSA keypairs) are session-scoped so the suite stays fast.
 
 from __future__ import annotations
 
+import itertools
+from typing import Any, Dict, Optional
+
 import pytest
 
+from repro.blockchain import ProvenanceBatch
 from repro.analytics.similarity import (
     DiseaseSimilarityBuilder,
     DrugSimilarityBuilder,
@@ -15,6 +19,25 @@ from repro.analytics.similarity import (
 from repro.crypto.rsa import generate_keypair
 from repro.knowledge.synthetic import generate_universe
 from repro.workloads.emr import generate_emr_cohort
+
+_BATCH_IDS = itertools.count(1)
+
+
+def one_leaf_batch(batch_id: Optional[str] = None,
+                   **event: Any) -> Dict[str, Any]:
+    """``record_batch`` arguments committing the one provenance event
+    ``event`` (``handle``, ``data_hash``, ``event``, ``actor`` and an
+    optional ``metadata``): the tests' generic ledger write.
+
+    Each call takes a fresh batch id, as a batch id is recorded once per
+    channel; a golden sequence pins its own ``batch_id`` so that its
+    digests do not depend on which tests ran before it.
+    """
+    batch = ProvenanceBatch()
+    batch.append(**event)
+    _, _, args = batch.request(
+        batch_id or f"test-batch-{next(_BATCH_IDS):06d}")
+    return args
 
 
 @pytest.fixture(scope="session")

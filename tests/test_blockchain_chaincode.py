@@ -10,6 +10,7 @@ from repro.blockchain.chaincode import (
     WorldState,
 )
 from repro.core.errors import LedgerError, ValidationError
+from tests.conftest import one_leaf_batch
 
 
 @pytest.fixture
@@ -44,10 +45,9 @@ class TestProvenanceContract:
     def test_event_chain(self, state):
         contract = ProvenanceContract()
         for i, event in enumerate(["received", "validated", "stored"]):
-            seq = contract.invoke(state, "record_event",
-                                  {"handle": "h1", "data_hash": "aa",
-                                   "event": event, "actor": "svc"})
-            assert seq == i
+            seq = contract.invoke(state, "record_batch", one_leaf_batch(
+                handle="h1", data_hash="aa", event=event, actor="svc"))
+            assert seq == [i]
         history = contract.invoke(state, "get_history", {"handle": "h1"})
         assert [e["event"] for e in history] == ["received", "validated",
                                                  "stored"]
@@ -55,18 +55,15 @@ class TestProvenanceContract:
     def test_unknown_event_rejected(self, state):
         contract = ProvenanceContract()
         with pytest.raises(ValidationError):
-            contract.invoke(state, "record_event",
-                            {"handle": "h", "data_hash": "aa",
-                             "event": "teleported", "actor": "svc"})
+            contract.invoke(state, "record_batch", one_leaf_batch(
+                handle="h", data_hash="aa", event="teleported", actor="svc"))
 
     def test_verify_hash_latest(self, state):
         contract = ProvenanceContract()
-        contract.invoke(state, "record_event",
-                        {"handle": "h", "data_hash": "old", "event": "received",
-                         "actor": "a"})
-        contract.invoke(state, "record_event",
-                        {"handle": "h", "data_hash": "new", "event": "stored",
-                         "actor": "a"})
+        contract.invoke(state, "record_batch", one_leaf_batch(
+            handle="h", data_hash="old", event="received", actor="a"))
+        contract.invoke(state, "record_batch", one_leaf_batch(
+            handle="h", data_hash="new", event="stored", actor="a"))
         assert contract.invoke(state, "verify_hash",
                                {"handle": "h", "data_hash": "new"})
         assert not contract.invoke(state, "verify_hash",

@@ -16,6 +16,7 @@ from repro.core.errors import AuthenticationError, LedgerError, NotFoundError
 from repro.crypto.rsa import generate_keypair, rsa_verify
 from repro.fhir.resources import Bundle, Observation, Patient
 from repro.ingestion.pipeline import encrypt_bundle_for_upload
+from tests.conftest import one_leaf_batch
 
 
 class TestMsp:
@@ -197,10 +198,12 @@ class TestSelfSovereignIdentity:
 def populated_network():
     net = standard_network(seed=8, batch_size=5)
     for i in range(6):
-        net.submit("ingestion-service", "provenance", "record_event",
-                   handle=f"rec-{i % 2}", data_hash=f"{i:02x}" * 32,
-                   event="received" if i % 2 == 0 else "stored",
-                   actor=f"client-{i % 3}")
+        net.submit("ingestion-service", "provenance", "record_batch",
+                   **one_leaf_batch(
+                       f"audit-{i}",
+                       handle=f"rec-{i % 2}", data_hash=f"{i:02x}" * 32,
+                       event="received" if i % 2 == 0 else "stored",
+                       actor=f"client-{i % 3}"))
     net.flush()
     return net
 
@@ -213,8 +216,11 @@ class TestAuditorView:
 
     def test_search_by_args(self, populated_network):
         view = AuditorView(populated_network)
-        findings = view.search(arg_equals={"handle": "rec-0"})
-        assert len(findings) == 3
+        findings = view.search(arg_equals={"batch_id": "audit-2"})
+        assert [f.args["events"][0]["handle"] for f in findings] == ["rec-0"]
+        assert view.search(arg_equals={"batch_id": "audit-9"}) == []
+        # Per-event fields sit inside the batch; search_events reads them.
+        assert len(view.search_events(handle="rec-0")) == 3
 
     def test_record_history(self, populated_network):
         view = AuditorView(populated_network)

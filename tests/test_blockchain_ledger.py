@@ -11,12 +11,15 @@ from repro.blockchain.ledger import (
     build_block,
 )
 from repro.core.errors import LedgerError
+from tests.conftest import one_leaf_batch
 
 
 def make_tx(i: int) -> Transaction:
     return Transaction(tx_id=f"tx-{i}", chaincode="provenance",
-                       method="record_event",
-                       args={"handle": f"h{i}", "event": "received"},
+                       method="record_batch",
+                       args=one_leaf_batch(f"batch-{i}", handle=f"h{i}",
+                                           data_hash=f"{i:064x}",
+                                           event="received", actor="svc"),
                        submitter="svc", timestamp=float(i))
 
 

@@ -16,6 +16,7 @@ from repro.blockchain.network import (
 )
 from repro.cloudsim.faults import FaultPlan
 from repro.core.errors import EndorsementError, LedgerError
+from tests.conftest import one_leaf_batch
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +45,10 @@ class TestEndorsementPolicy:
 class TestTransactionFlow:
     def test_submit_gathers_endorsements(self, network):
         tx = network.submit("ingestion-service", "provenance",
-                            "record_event", handle="flow-1",
-                            data_hash="aa" * 32, event="received",
-                            actor="client")
+                            "record_batch",
+                            **one_leaf_batch(handle="flow-1",
+                                             data_hash="aa" * 32,
+                                             event="received", actor="client"))
         # The client stops as soon as the policy holds.
         assert len(tx.endorsements) == network.policy.min_endorsements
         orgs = {network.msp.identity(member_id).organization
@@ -54,9 +56,9 @@ class TestTransactionFlow:
         assert len(orgs) == network.policy.min_organizations
 
     def test_flush_commits_to_all_peers(self, network):
-        network.submit("ingestion-service", "provenance", "record_event",
-                       handle="flow-2", data_hash="bb" * 32,
-                       event="received", actor="client")
+        network.submit("ingestion-service", "provenance", "record_batch",
+                       **one_leaf_batch(handle="flow-2", data_hash="bb" * 32,
+                                        event="received", actor="client"))
         network.flush()
         assert network.peers_converged()
         history = network.query("provenance", "get_history", handle="flow-2")
@@ -65,9 +67,9 @@ class TestTransactionFlow:
     def test_batching(self):
         net = standard_network(seed=3, batch_size=3)
         for i in range(7):
-            net.submit("ingestion-service", "provenance", "record_event",
-                       handle=f"b{i}", data_hash="cc" * 32,
-                       event="received", actor="c")
+            net.submit("ingestion-service", "provenance", "record_batch",
+                       **one_leaf_batch(handle=f"b{i}", data_hash="cc" * 32,
+                                        event="received", actor="c"))
         blocks = net.flush()
         # 7 transactions at batch size 3 -> blocks of 3, 3, 1.
         assert [len(b.transactions) for b in blocks] == [3, 3, 1]
@@ -86,21 +88,22 @@ class TestTransactionFlow:
         net.add_peer(Peer("peer.only", "solo-org", msp, contracts))
         msp.enroll("client", "solo-org")
         with pytest.raises(EndorsementError):
-            net.submit("client", "provenance", "record_event", handle="h",
-                       data_hash="aa" * 32, event="received", actor="c")
+            net.submit("client", "provenance", "record_batch",
+                       **one_leaf_batch(handle="h", data_hash="aa" * 32,
+                                        event="received", actor="c"))
 
     def test_ledgers_identical_across_peers(self, network):
-        network.invoke("ingestion-service", "provenance", "record_event",
-                       handle="conv", data_hash="dd" * 32, event="received",
-                       actor="c")
+        network.invoke("ingestion-service", "provenance", "record_batch",
+                       **one_leaf_batch(handle="conv", data_hash="dd" * 32,
+                                        event="received", actor="c"))
         tips = {p.ledger.tip_hash for p in network.peers}
         assert len(tips) == 1
 
     def test_endorsement_simulation_does_not_mutate_state(self, network):
         before = network.peers[0].state.snapshot_hash()
-        network.submit("ingestion-service", "provenance", "record_event",
-                       handle="sim-only", data_hash="ee" * 32,
-                       event="received", actor="c")
+        network.submit("ingestion-service", "provenance", "record_batch",
+                       **one_leaf_batch(handle="sim-only", data_hash="ee" * 32,
+                                        event="received", actor="c"))
         # Not flushed yet: endorsement simulation must not have written.
         assert network.peers[0].state.snapshot_hash() == before
         network.flush()
@@ -108,9 +111,9 @@ class TestTransactionFlow:
 
     def test_forged_endorsement_not_applied(self):
         net = standard_network(seed=6, batch_size=1)
-        tx = net.submit("ingestion-service", "provenance", "record_event",
-                        handle="forge", data_hash="aa" * 32,
-                        event="received", actor="c")
+        tx = net.submit("ingestion-service", "provenance", "record_batch",
+                        **one_leaf_batch(handle="forge", data_hash="aa" * 32,
+                                         event="received", actor="c"))
         # Replace all endorsement signatures with junk before ordering.
         forged = tx.with_endorsements(
             [(peer_id, b"\x00" * len(sig))
@@ -128,9 +131,9 @@ class TestCommitOrder:
 
         from repro.blockchain.ledger import build_block
         net = standard_network(seed=3, batch_size=10)
-        tx = net.submit("ingestion-service", "provenance", "record_event",
-                        handle="h1", data_hash="aa" * 32, event="received",
-                        actor="c")
+        tx = net.submit("ingestion-service", "provenance", "record_batch",
+                        **one_leaf_batch(handle="h1", data_hash="aa" * 32,
+                                         event="received", actor="c"))
         peer = net.peers[0]
         block = build_block(peer.ledger.height, peer.ledger.tip_hash, 1.0,
                             [tx])
@@ -165,9 +168,9 @@ class TestEndorserFailure:
                           {"provenance": BrokenContract()}))
         net.add_peer(Peer("peer.org-c", "org-c", msp, good))
         msp.enroll("client", "org-a")
-        tx = net.submit("client", "provenance", "record_event",
-                        handle="h", data_hash="aa" * 32, event="received",
-                        actor="c")
+        tx = net.submit("client", "provenance", "record_batch",
+                        **one_leaf_batch(handle="h", data_hash="aa" * 32,
+                                         event="received", actor="c"))
         # Only the two healthy orgs endorsed.
         assert len(tx.endorsements) == 2
         net.flush()
@@ -193,18 +196,18 @@ class TestEndorserFailure:
                           {"provenance": BrokenContract()}))
         msp.enroll("client", "org-a")
         with pytest.raises(EndorsementError):
-            net.submit("client", "provenance", "record_event",
-                       handle="h", data_hash="aa" * 32, event="received",
-                       actor="c")
+            net.submit("client", "provenance", "record_batch",
+                       **one_leaf_batch(handle="h", data_hash="aa" * 32,
+                                        event="received", actor="c"))
 
 
 class TestPeerSync:
     def test_late_joining_peer_catches_up(self):
         net = standard_network(seed=11, batch_size=5)
         for i in range(12):
-            net.submit("ingestion-service", "provenance", "record_event",
-                       handle=f"s{i}", data_hash="aa" * 32,
-                       event="received", actor="c")
+            net.submit("ingestion-service", "provenance", "record_batch",
+                       **one_leaf_batch(handle=f"s{i}", data_hash="aa" * 32,
+                                        event="received", actor="c"))
         net.flush()
         # A fresh peer from a new org joins after the fact.
         contracts = {"provenance": ProvenanceContract()}
@@ -219,9 +222,9 @@ class TestPeerSync:
         import dataclasses
         net = standard_network(seed=12, batch_size=2)
         for i in range(4):
-            net.submit("ingestion-service", "provenance", "record_event",
-                       handle=f"v{i}", data_hash="bb" * 32,
-                       event="received", actor="c")
+            net.submit("ingestion-service", "provenance", "record_batch",
+                       **one_leaf_batch(handle=f"v{i}", data_hash="bb" * 32,
+                                        event="received", actor="c"))
         net.flush()
         source = net.peers[0]
         # Tamper with the source's chain; a syncing peer must reject it.
@@ -239,18 +242,18 @@ class TestPeerSync:
     def test_partial_sync_resumes(self):
         net = standard_network(seed=13, batch_size=2)
         for i in range(4):
-            net.submit("ingestion-service", "provenance", "record_event",
-                       handle=f"p{i}", data_hash="cc" * 32,
-                       event="received", actor="c")
+            net.submit("ingestion-service", "provenance", "record_batch",
+                       **one_leaf_batch(handle=f"p{i}", data_hash="cc" * 32,
+                                        event="received", actor="c"))
         net.flush()
         contracts = {"provenance": ProvenanceContract()}
         net.msp.enroll("peer.resume-org", "resume-org", roles={"peer"})
         fresh = Peer("peer.resume-org", "resume-org", net.msp, contracts)
         fresh.sync_from(net.peers[0], net.policy)
         # More activity, then a second incremental sync.
-        net.submit("ingestion-service", "provenance", "record_event",
-                   handle="p-new", data_hash="dd" * 32, event="received",
-                   actor="c")
+        net.submit("ingestion-service", "provenance", "record_batch",
+                   **one_leaf_batch(handle="p-new", data_hash="dd" * 32,
+                                    event="received", actor="c"))
         net.flush()
         applied = fresh.sync_from(net.peers[0], net.policy)
         assert applied == 1
@@ -258,12 +261,17 @@ class TestPeerSync:
 
 
 class TestOrderingService:
-    def test_no_block_until_batch_full(self):
+    def test_cut_holds_at_most_batch_size(self):
         orderer = OrderingService(batch_size=3)
         from repro.blockchain.ledger import GENESIS_HASH, Transaction
-        orderer.submit(Transaction("t1", "cc", "m", {}, "s", 0.0))
         assert orderer.cut_block(0, GENESIS_HASH) is None
-        assert orderer.cut_block(0, GENESIS_HASH, force=True) is not None
+        for i in range(4):
+            orderer.submit(Transaction(f"t{i}", "cc", "m", {}, "s", 0.0))
+        first = orderer.cut_block(0, GENESIS_HASH)
+        assert [tx.tx_id for tx in first.transactions] == ["t0", "t1", "t2"]
+        second = orderer.cut_block(1, first.block_hash)
+        assert [tx.tx_id for tx in second.transactions] == ["t3"]
+        assert orderer.cut_block(2, second.block_hash) is None
 
     def test_invalid_batch_size(self):
         with pytest.raises(LedgerError):
@@ -343,8 +351,9 @@ class TestBatchVerifiedCommit:
         net = standard_network(seed=31, batch_size=4)
         for i in range(4):
             net.submit("ingestion-service", "provenance",
-                       "record_event", handle=f"bv{i}",
-                       data_hash="aa" * 32, event="received", actor="c")
+                       "record_batch",
+                       **one_leaf_batch(handle=f"bv{i}", data_hash="aa" * 32,
+                                        event="received", actor="c"))
         # Tamper with one endorsement of one pending transaction.
         victim = net.orderer._pending[2]
         member_id, sig = victim.endorsements[0]
@@ -367,15 +376,16 @@ class TestEarlyStopEndorsement:
 
     @staticmethod
     def _submit(net, handle):
-        return net.submit("ingestion-service", "provenance", "record_event",
-                          handle=handle, data_hash="aa" * 32,
-                          event="received", actor="c")
+        return net.submit("ingestion-service", "provenance", "record_batch",
+                          **one_leaf_batch(handle=handle, data_hash="aa" * 32,
+                                           event="received", actor="c"))
 
     @staticmethod
     def _requests(n):
-        return [("provenance", "record_event",
-                 {"handle": f"batch-{i}", "data_hash": "aa" * 32,
-                  "event": "received", "actor": "c"}) for i in range(n)]
+        return [("provenance", "record_batch",
+                 one_leaf_batch(handle=f"batch-{i}", data_hash="aa" * 32,
+                                event="received", actor="c"))
+                for i in range(n)]
 
     @staticmethod
     def _orgs(net, tx):
@@ -441,6 +451,40 @@ class TestEarlyStopEndorsement:
         assert net.clock.now == 2 * net.ENDORSE_LATENCY
 
 
+class TestSingleSubmitIsABatchOfOne:
+    """``submit`` runs the one endorsement loop, so a single proposal
+    pays a trip for every peer it visits, a down one included."""
+
+    @staticmethod
+    def _crashed(policy=None):
+        net = standard_network(seed=3, policy=policy)
+        plan = FaultPlan(seed=1, clock=net.clock)
+        plan.crash_node("peer.sender-org", start_s=0.0, end_s=1_000.0)
+        for peer in net.peers:
+            peer.fault_plan = plan
+        return net
+
+    def test_a_down_peer_costs_its_trip(self):
+        net = self._crashed()
+        # peer.sender-org is first in the first transaction's rotation.
+        assert net.endorsing_peers()[0].member_id == "peer.sender-org"
+        tx = net.submit("ingestion-service", "provenance", "record_batch",
+                        **one_leaf_batch(handle="h", data_hash="aa" * 32,
+                                         event="received", actor="c"))
+        assert net.clock.now == 3 * net.ENDORSE_LATENCY
+        assert [net.msp.enrolment(member).organization
+                for member, _ in tx.endorsements] == [
+            "provider-org", "data-protection-org"]
+
+    def test_an_unmeetable_policy_still_raises(self):
+        net = self._crashed(policy=EndorsementPolicy(4, 4))
+        with pytest.raises(EndorsementError):
+            net.submit("ingestion-service", "provenance", "record_batch",
+                       **one_leaf_batch(handle="h", data_hash="aa" * 32,
+                                        event="received", actor="c"))
+        assert net.orderer.pending_count == 0
+
+
 class TestCommitTimeCounting:
     """Commit-time validation counts each member once, and only members
     enrolled with the ``peer`` role."""
@@ -459,9 +503,9 @@ class TestCommitTimeCounting:
             msp.enroll(f"peer.{org}", org, roles={"peer"})
             net.add_peer(Peer(f"peer.{org}", org, msp, contracts))
         msp.enroll("client", "org-a")
-        tx = net.submit("client", "provenance", "record_event",
-                        handle="dup", data_hash="aa" * 32,
-                        event="received", actor="c")
+        tx = net.submit("client", "provenance", "record_batch",
+                        **one_leaf_batch(handle="dup", data_hash="aa" * 32,
+                                         event="received", actor="c"))
         first, second = tx.endorsements[0], tx.endorsements[1]
         stuffed = tx.with_endorsements([first, first, second])
         net.orderer._pending[-1] = stuffed
@@ -473,9 +517,10 @@ class TestCommitTimeCounting:
     def test_client_and_auditor_signatures_do_not_count(
             self, reference_validate):
         net = standard_network(seed=6, batch_size=1)
-        tx = net.submit("ingestion-service", "provenance", "record_event",
-                        handle="non-peer", data_hash="aa" * 32,
-                        event="received", actor="c")
+        tx = net.submit("ingestion-service", "provenance", "record_batch",
+                        **one_leaf_batch(handle="non-peer",
+                                         data_hash="aa" * 32, event="received",
+                                         actor="c"))
         forged = tx.with_endorsements(
             [(member_id, net.msp.sign_as(member_id, tx.payload()))
              for member_id in ("ingestion-service", "auditor")])
@@ -500,9 +545,9 @@ class TestDegradedSync:
         plan.crash_node(net.peers[2].peer_id, start_s=0.0, end_s=1_000.0)
         for peer in net.peers:
             peer.fault_plan = plan
-        net.submit("ingestion-service", "provenance", "record_event",
-                   handle="deg-sync", data_hash="ab" * 32,
-                   event="received", actor="c")
+        net.submit("ingestion-service", "provenance", "record_batch",
+                   **one_leaf_batch(handle="deg-sync", data_hash="ab" * 32,
+                                    event="received", actor="c"))
         net.flush()
         assert net.monitoring.metrics.counter("blockchain.degraded_commits") == 1
         return net, lagging

@@ -20,12 +20,13 @@ from repro.cloudsim.clock import SimClock
 from repro.cloudsim.faults import FaultPlan
 from repro.cloudsim.tracing import Tracer
 from repro.core.errors import LedgerError
+from tests.conftest import one_leaf_batch
 
 
 def _prov_request(i):
-    return ("provenance", "record_event",
-            {"handle": f"h-{i}", "data_hash": f"{i:04x}",
-             "event": "received", "actor": "ingestion-service"})
+    return ("provenance", "record_batch",
+            one_leaf_batch(handle=f"h-{i}", data_hash=f"{i:04x}",
+                           event="received", actor="ingestion-service"))
 
 
 def _keyed_requests(n, n_keys=20):
@@ -158,8 +159,9 @@ class TestShardedIngest:
     def test_single_tx_submit_routes_by_key(self):
         net = ShardedBlockchainNetwork(4, seed=0)
         net.submit("ingestion-service", "patient-0001", "provenance",
-                   "record_event", handle="solo", data_hash="ff",
-                   event="received", actor="a")
+                   "record_batch",
+                   **one_leaf_batch(handle="solo", data_hash="ff",
+                                    event="received", actor="a"))
         net.flush_all()
         owner = net.channel_for("patient-0001")
         assert owner.peers[0].ledger.height == 1
@@ -231,9 +233,9 @@ class TestConsortiumIdentity:
             self, reference_validate):
         net = ShardedBlockchainNetwork(2, seed=0)
         source, target = net.channels
-        tx = source.invoke("ingestion-service", "provenance", "record_event",
-                           handle="h-replay", data_hash="ab",
-                           event="received", actor="a")
+        tx = source.invoke("ingestion-service", "provenance", "record_batch",
+                           **one_leaf_batch(handle="h-replay", data_hash="ab",
+                                            event="received", actor="a"))
         assert source.peers[0].ledger.find_transaction(tx.tx_id) == tx
         assert tx.channel == "shard-00"
         # The shards share keys, so the shard-00 signatures verify as
@@ -258,8 +260,9 @@ class TestConsortiumIdentity:
             target.peers[0].endorse(tx.with_endorsements(()))
         # Shard-01 still commits its own traffic, on the same tx id.
         own = target.invoke("ingestion-service", "provenance",
-                            "record_event", handle="h-own", data_hash="cd",
-                            event="received", actor="a")
+                            "record_batch",
+                            **one_leaf_batch(handle="h-own", data_hash="cd",
+                                             event="received", actor="a"))
         assert own.tx_id == tx.tx_id
         assert target.query("provenance", "get_history", handle="h-own")
         assert target.peers_converged()
@@ -270,9 +273,9 @@ class TestConsortiumIdentity:
         # shard's blocks yet apply none of their transactions.
         net = ShardedBlockchainNetwork(2, seed=0)
         shard = net.channels[0]
-        shard.invoke("ingestion-service", "provenance", "record_event",
-                     handle="h-join", data_hash="ab", event="received",
-                     actor="a")
+        shard.invoke("ingestion-service", "provenance", "record_batch",
+                     **one_leaf_batch(handle="h-join", data_hash="ab",
+                                      event="received", actor="a"))
         contracts = {"provenance": ProvenanceContract()}
         for channel in (None, "shard-01"):
             joiner = Peer("peer.audit-org", "audit-org", net.msp, contracts,
@@ -535,8 +538,9 @@ class TestDegradedShardedChannels:
         shard = net.router.shard_for("patient-0000")
         _crash_shard_peers(net, shard, plan, n=2, start_s=0.0)
         net.submit("ingestion-service", "patient-0000", "provenance",
-                   "record_event", handle="h-deg", data_hash="ab",
-                   event="received", actor="a")
+                   "record_batch",
+                   **one_leaf_batch(handle="h-deg", data_hash="ab",
+                                    event="received", actor="a"))
         net.flush_all()
         channel = net.channels[shard]
         assert channel.degraded_tx_ids
@@ -561,8 +565,9 @@ class TestPendingGaugeFreshness:
         shard = net.router.shard_for(key)
         for i in range(3):
             net.submit("ingestion-service", key, "provenance",
-                       "record_event", handle=f"h-{i}", data_hash="aa",
-                       event="received", actor="a")
+                       "record_batch",
+                       **one_leaf_batch(handle=f"h-{i}", data_hash="aa",
+                                        event="received", actor="a"))
             assert self._gauge(net, shard) == \
                 net.channels[shard].orderer.pending_count == i + 1
 
@@ -570,8 +575,9 @@ class TestPendingGaugeFreshness:
         net = ShardedBlockchainNetwork(4, seed=0, batch_size=100)
         for i in range(8):
             net.submit("ingestion-service", f"patient-{i:04d}",
-                       "provenance", "record_event", handle=f"h-{i}",
-                       data_hash="aa", event="received", actor="a")
+                       "provenance", "record_batch",
+                       **one_leaf_batch(handle=f"h-{i}", data_hash="aa",
+                                        event="received", actor="a"))
         net.flush_all()
         for shard in range(net.n_shards):
             assert self._gauge(net, shard) == 0

@@ -224,3 +224,87 @@ class TestGdpr:
         platform.gdpr.erase_subject("pt-1")
         report = platform.gdpr.subject_access("pt-1")
         assert [e["event"] for e in report.provenance_events] == ["deleted"]
+
+    def test_subject_access_lists_ingestion_provenance(self, ingested):
+        platform, job = ingested
+        report = platform.gdpr.subject_access("pt-1")
+        # Two stored versions, one job: its events are listed once.
+        assert len(report.stored_records) == 2
+        assert [e["event"] for e in report.provenance_events] == [
+            "received", "validated", "deidentified", "stored"]
+        assert report.provenance_events == platform.blockchain.query(
+            "provenance", "get_history", handle=job.job_id)
+
+    def test_subject_access_lists_every_job_then_the_subject(self, ingested):
+        from repro.fhir.resources import Bundle, Patient
+        from repro.ingestion.pipeline import encrypt_bundle_for_upload
+        platform, first = ingested
+        registration = platform.ingestion.register_client("c2")
+        bundle = Bundle(id="b2").add(
+            Patient(id="pt-1", name={"family": "Doe"},
+                    birthDate="1980-01-02", gender="female"))
+        second = platform.ingestion.upload(
+            "c2", encrypt_bundle_for_upload(bundle, registration),
+            first.group_id)
+        platform.run_ingestion()
+        report = platform.gdpr.subject_access("pt-1")
+        stages = ["received", "validated", "deidentified", "stored"]
+        assert [(e["actor"], e["event"])
+                for e in report.provenance_events] == (
+            [("c1", stage) for stage in stages]
+            + [("c2", stage) for stage in stages])
+        assert second.status.value == "stored"
+
+    @staticmethod
+    def _erasures(platform):
+        from repro.blockchain import AuditorView
+        view = AuditorView(platform.blockchain)
+        return view, view.search_events(event="deleted")
+
+    def test_erasure_is_audited_like_any_event(self, ingested):
+        platform, _ = ingested
+        platform.gdpr.erase_subject("pt-1")
+        view, erasures = self._erasures(platform)
+        assert len(erasures) == 1
+        (erasure,) = erasures
+        assert erasure.handle == platform.gdpr.subject_access(
+            "pt-1").patient_ref
+        assert erasure.actor == "gdpr-service"
+        assert view.event_proof(erasure) is not None
+        assert view.verify_event(erasure)
+
+    def test_tampered_erasure_fails_verification(self, ingested):
+        import dataclasses
+        platform, _ = ingested
+        platform.gdpr.erase_subject("pt-1")
+        view, (erasure,) = self._erasures(platform)
+        # A forged copy of the event fails against the endorsed root ...
+        assert not view.verify_event(
+            dataclasses.replace(erasure, data_hash="f0" * 32))
+        # ... and so does the event rewritten inside the committed batch.
+        ledger = platform.blockchain.peers[0].ledger
+        block = ledger.block(erasure.block_height)
+        txs = list(block.transactions)
+        index = next(i for i, tx in enumerate(txs)
+                     if tx.tx_id == erasure.tx_id)
+        events = [dict(e, data_hash="f0" * 32)
+                  for e in txs[index].args["events"]]
+        txs[index] = dataclasses.replace(
+            txs[index], args={**txs[index].args, "events": events})
+        ledger._blocks[erasure.block_height] = dataclasses.replace(
+            block, transactions=tuple(txs))
+        _, (tampered,) = self._erasures(platform)
+        assert tampered.data_hash == "f0" * 32
+        assert not view.verify_event(tampered)
+
+    def test_erasing_twice_records_two_batches(self, ingested):
+        platform, _ = ingested
+        platform.gdpr.erase_subject("pt-1")
+        platform.gdpr.erase_subject("pt-1")
+        view, erasures = self._erasures(platform)
+        assert len(erasures) == 2
+        assert len({e.batch_id for e in erasures}) == 2
+        assert all(view.verify_event(e) for e in erasures)
+        report = platform.gdpr.subject_access("pt-1")
+        assert [e["event"] for e in report.provenance_events] == [
+            "deleted", "deleted"]

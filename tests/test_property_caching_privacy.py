@@ -10,6 +10,7 @@ from repro.privacy.kanonymity import (
     QuasiIdentifier,
     achieved_k,
 )
+from tests.conftest import one_leaf_batch
 
 _NO_DEADLINE = settings(deadline=None,
                         suppress_health_check=[HealthCheck.too_slow])
@@ -101,7 +102,11 @@ class TestLedgerProperties:
                 counter += 1
                 transactions.append(Transaction(
                     tx_id=f"tx-{counter}", chaincode="provenance",
-                    method="record_event", args={"v": value},
+                    method="record_batch",
+                    args=one_leaf_batch(f"batch-{counter}",
+                                        handle=f"h-{value}",
+                                        data_hash=f"{value:064x}",
+                                        event="received", actor="s"),
                     submitter="s", timestamp=float(counter)))
             block = build_block(ledger.height, ledger.tip_hash,
                                 float(counter), transactions)

@@ -25,6 +25,7 @@ from repro.core.errors import EndorsementError, LedgerError, ValidationError
 from repro.crypto.merkle import MerkleTree, verify_proof
 from repro.fhir.resources import Bundle, Observation, Patient
 from repro.ingestion.pipeline import IngestionStatus, encrypt_bundle_for_upload
+from tests.conftest import one_leaf_batch
 
 
 def make_bundle(patient_id="pt-1", bundle_id="b1"):
@@ -74,11 +75,10 @@ class TestBatchedPipeline:
         platform.run_ingestion()
         view = AuditorView(platform.blockchain)
         batched = view.search(chaincode="provenance", method="record_batch")
-        singles = view.search(chaincode="provenance", method="record_event")
         # 6 jobs in batches of 3 -> 2 flushes -> 2 batched transactions,
         # instead of 24 individually endorsed event transactions.
         assert len(batched) == 2
-        assert singles == []
+        assert len(view.search(chaincode="provenance")) == 2
         batches = platform.monitoring.metrics.counter(
             "ingestion.provenance_batches")
         events = platform.monitoring.metrics.counter(
@@ -86,13 +86,16 @@ class TestBatchedPipeline:
         assert batches == 2
         assert events == 24  # 6 jobs x 4 per-stage events
 
-    def test_legacy_batch_size_one_keeps_per_event_transactions(self):
+    def test_batch_size_one_commits_one_batch_per_bundle(self):
         platform, jobs = build_platform(provenance_batch_size=1, n_bundles=2)
         platform.run_ingestion()
         view = AuditorView(platform.blockchain)
-        assert view.search(chaincode="provenance", method="record_batch") == []
-        singles = view.search(chaincode="provenance", method="record_event")
-        assert len(singles) == 8  # 2 jobs x 4 per-stage events
+        batched = view.search(chaincode="provenance", method="record_batch")
+        assert len(batched) == 2  # one per bundle
+        assert len(view.search(chaincode="provenance")) == 2
+        assert [len(f.args["events"]) for f in batched] == [4, 4]
+        assert len(view.search(chaincode="privacy",
+                               method="record_level_batch")) == 2
 
     def test_queue_drains_in_fifo_order_with_limit(self):
         platform, jobs = build_platform(provenance_batch_size=4, n_bundles=5)
@@ -235,9 +238,10 @@ class TestAuditSemantics:
 class TestSubmitBatch:
     @staticmethod
     def _requests(n, prefix="h"):
-        return [("provenance", "record_event",
-                 {"handle": f"{prefix}{i}", "data_hash": "aa" * 32,
-                  "event": "received", "actor": "c"}) for i in range(n)]
+        return [("provenance", "record_batch",
+                 one_leaf_batch(handle=f"{prefix}{i}", data_hash="aa" * 32,
+                                event="received", actor="c"))
+                for i in range(n)]
 
     def test_batch_endorses_and_commits(self):
         network = standard_network(seed=8, batch_size=10)
@@ -355,9 +359,10 @@ class TestPeersDoNotRepeatPureWork:
     def test_a_bad_signature_fails_on_every_peer(self):
         network = standard_network(seed=8, batch_size=1)
         tx = network.submit("ingestion-service", "provenance",
-                            "record_event", handle="forged",
-                            data_hash="aa" * 32, event="received",
-                            actor="c")
+                            "record_batch",
+                            **one_leaf_batch(handle="forged",
+                                             data_hash="aa" * 32,
+                                             event="received", actor="c"))
         (member_id, signature), other = tx.endorsements
         flipped = bytes([signature[0] ^ 1]) + signature[1:]
         network.orderer._pending[-1] = tx.with_endorsements(
@@ -423,8 +428,9 @@ class TestEndorsementFailureVisibility:
 
     def test_failures_logged_and_counted(self):
         network = self._network_with_broken_peer()
-        network.submit("client", "provenance", "record_event", handle="h",
-                       data_hash="aa" * 32, event="received", actor="c")
+        network.submit("client", "provenance", "record_batch",
+                       **one_leaf_batch(handle="h", data_hash="aa" * 32,
+                                        event="received", actor="c"))
         metrics = network.monitoring.metrics
         assert metrics.counter("blockchain.endorsement_failures") == 1
         assert metrics.counter(

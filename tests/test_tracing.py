@@ -30,6 +30,7 @@ from repro.rbac.federation import (
 )
 from repro.rbac.model import Action, Permission, Scope, ScopeKind
 from repro import HealthCloudPlatform
+from tests.conftest import one_leaf_batch
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +287,9 @@ def build_world(traced=True):
     def lookup_handler(context, key):
         seen_contexts.append(context)
         result = hierarchy.get(key)
-        net.submit("ingestion-service", "provenance", "record_event",
-                   handle=key, data_hash="aa" * 32, event="received",
-                   actor="client")
+        net.submit("ingestion-service", "provenance", "record_batch",
+                   **one_leaf_batch(handle=key, data_hash="aa" * 32,
+                                    event="received", actor="client"))
         net.flush()
         return {"value": result.value, "served_by": result.served_by}
 
@@ -330,7 +331,7 @@ class TestEndToEnd:
         assert "resilience.kb.terms" in names
         assert "resilience.attempt" in names
         assert "kb.call" in names
-        assert "blockchain.endorse" in names
+        assert "blockchain.endorse_batch" in names
         assert "blockchain.commit" in names
         assert {"gateway", "cache", "resilience",
                 "knowledge", "blockchain"} <= layers

@@ -26,13 +26,14 @@ from repro.blockchain import (
 )
 from repro.fhir.resources import Bundle, Observation, Patient
 from repro.ingestion import ShardedIngestionFrontend, encrypt_bundle_for_upload
+from tests.conftest import one_leaf_batch
 
 # channel -> (tip_hash, running_tx_root, endorsement digest)
 GOLDEN = {
     "standard": (
-        "b246e417faf4504f16b77b148a57de9ce1f892c4dc86120f2a54fe332a207635",
-        "5764ecaa868827442c542ef7cc38a6f2287ef1b800c75b85bdd1afa3181f7fd7",
-        "046abecab78b767c248080ee34c48ef3aef8c93124b062ba4d68cebd701dfd9b"),
+        "eb791a960bbc5ef7aa911c62cf8781d5ce403f25de0ca7f69d2155984bd2f0de",
+        "9451ad2799ebf20d8a64623e9fb0f644f3e8d66bb2ba12c66978641c9a4e46be",
+        "45ee22af15ddc6ee6a3f91dc613dd07da63c8dd8f3f90cb53b91b5007cd45760"),
     "shard-00": (
         "d11ac884ac4ef0a4e2dc53e50bca6099f8d44859f18a673063dabfb6737fb06e",
         "ee0dffbfc7842b27ce9783646ec569c891964666b4855dddf155e72fab9ad6e2",
@@ -73,10 +74,11 @@ def _event(i):
 def test_standard_network_golden():
     net = standard_network(seed=8, batch_size=4)
     for i in range(3):
-        net.submit("ingestion-service", "provenance", "record_event",
-                   **_event(i))
+        net.submit("ingestion-service", "provenance", "record_batch",
+                   **one_leaf_batch(f"golden-{i}", **_event(i)))
     net.submit_batch("ingestion-service", [
-        ("provenance", "record_event", _event(3)),
+        ("provenance", "record_batch",
+         one_leaf_batch("golden-3", **_event(3))),
         ("consent", "grant", {"patient_ref": "p-1", "group_id": "g",
                               "granted_at": 1.0}),
         ("privacy", "record_level", {"record_id": "r-1", "sender": "s",

@@ -17,11 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from ..core.errors import LedgerError
+from ..core.errors import LedgerError, ValidationError
 from ..crypto.merkle import MerkleProof, MerkleTree, verify_proof
 from .chaincode import provenance_event_leaf
 from .ledger import Transaction
 from .network import BlockchainNetwork
+
+# A provenance event's fields: every event is a ``record_batch`` leaf,
+# so no transaction carries one as a top-level argument.
+EVENT_FIELDS = ("handle", "data_hash", "event", "actor")
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,19 @@ class AuditorView:
                method: Optional[str] = None,
                submitter: Optional[str] = None,
                arg_equals: Optional[Dict[str, Any]] = None) -> List[AuditFinding]:
-        """Search committed transactions by any combination of filters."""
+        """Search committed transactions by any combination of filters.
+
+        ``arg_equals`` matches a transaction's top-level arguments, where
+        a provenance event field (:data:`EVENT_FIELDS`) would match
+        nothing, so naming one raises :class:`ValidationError`; use
+        :meth:`search_events` for events.
+        """
+        named = [k for k in EVENT_FIELDS if k in (arg_equals or {})]
+        if named:
+            raise ValidationError(
+                f"{', '.join(named)}: provenance event fields sit inside "
+                f"record_batch transactions; search them with "
+                f"search_events")
         findings: List[AuditFinding] = []
         for block in self._ledger().blocks():
             for tx in block.transactions:

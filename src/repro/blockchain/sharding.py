@@ -180,6 +180,10 @@ class ShardedBlockchainNetwork:
                           degraded_policy=degraded_policy)
             for shard in range(n_shards)
         ]
+        for shard, channel in enumerate(self.channels):
+            self.monitoring.metrics.register_gauge(
+                f"blockchain.{self.shard_name(shard)}.pending",
+                lambda orderer=channel.orderer: orderer.pending_count)
         self._tracer = None
 
     @staticmethod
@@ -206,23 +210,8 @@ class ShardedBlockchainNetwork:
     def submit(self, submitter: str, routing_key: str, chaincode: str,
                method: str, **args: Any):
         """Route one transaction to its owning shard (endorse + order)."""
-        shard = self.router.shard_for(routing_key)
-        result = self.channels[shard].submit(
+        return self.channel_for(routing_key).submit(
             submitter, chaincode, method, **args)
-        self._update_pending_gauge(shard)
-        return result
-
-    def _update_pending_gauge(self, shard: int) -> None:
-        """Keep ``blockchain.<shard>.pending`` equal to the orderer queue.
-
-        Every path that changes a shard's pending count goes through
-        here, so the gauge cannot go stale: after any drain it reads 0,
-        and after an ingest aborted mid-round it reads the real residue
-        instead of the last mid-round snapshot.
-        """
-        self.monitoring.metrics.set_gauge(
-            f"blockchain.{self.shard_name(shard)}.pending",
-            self.channels[shard].orderer.pending_count)
 
     def query(self, routing_key: str, chaincode: str, method: str,
               **args: Any) -> Any:
@@ -280,16 +269,11 @@ class ShardedBlockchainNetwork:
                         costs["commit"] = 0.0
                         channel.submit_batch(
                             submitter, requests[offset:offset + size])
-                        self._update_pending_gauge(shard)
                         channel.flush()
                         rounds.append((costs["endorse"],
                                        costs["order"] + costs["commit"]))
                 finally:
                     channel.latency_sink = None
-                    # In the finally: an ingest aborted mid-round (e.g.
-                    # endorsement failure under a fault plan) must not
-                    # leave the last mid-round snapshot on the gauge.
-                    self._update_pending_gauge(shard)
                 serial = sum(e + c for e, c in rounds)
                 makespan = (pipeline_makespan(rounds) if pipelined
                             else serial)
@@ -318,18 +302,8 @@ class ShardedBlockchainNetwork:
             shard_reports=shard_reports)
 
     def flush_all(self) -> int:
-        """Serially flush every channel; returns blocks committed.
-
-        Refreshes every shard's pending gauge: a drain through this
-        path (e.g. after single-transaction :meth:`submit` traffic)
-        must leave ``blockchain.<shard>.pending`` at 0, not at whatever
-        the last bulk ingest happened to record.
-        """
-        committed = 0
-        for shard, channel in enumerate(self.channels):
-            committed += len(channel.flush())
-            self._update_pending_gauge(shard)
-        return committed
+        """Serially flush every channel; returns blocks committed."""
+        return sum(len(channel.flush()) for channel in self.channels)
 
     def peers_converged(self) -> bool:
         """Every shard's peers hold identical state and chain tips."""

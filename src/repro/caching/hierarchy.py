@@ -426,19 +426,20 @@ class CacheHierarchy(Generic[K, V]):
 
     def publish_metrics(self, monitoring: Optional[MonitoringService] = None
                         ) -> None:
-        """Push per-level and hierarchy gauges to a monitoring service."""
+        """Register per-level and hierarchy gauges with a monitoring
+        service; each reads this hierarchy's counts when asked."""
         target = monitoring if monitoring is not None else self.monitoring
         if target is None:
             raise ConfigurationError("no monitoring service to publish to")
-        gauges = target.metrics.set_gauge
+        register = target.metrics.register_gauge
         for name, stats in self.stats_by_level():
-            gauges(f"cache.{name}.hits", float(stats.hits))
-            gauges(f"cache.{name}.misses", float(stats.misses))
-            gauges(f"cache.{name}.evictions", float(stats.evictions))
-            gauges(f"cache.{name}.admission_rejections",
-                   float(stats.admission_rejections))
-        gauges("cache.hierarchy.requests", float(self.requests))
-        gauges("cache.hierarchy.coalesced", float(self.coalesced))
-        gauges("cache.hierarchy.negative_hits", float(self.negative_hits))
-        gauges("cache.hierarchy.origin_loads", float(self.origin_loads))
-        gauges("cache.hierarchy.hit_ratio", self.overall_hit_ratio())
+            for field in ("hits", "misses", "evictions",
+                          "admission_rejections"):
+                register(f"cache.{name}.{field}",
+                         lambda stats=stats, field=field:
+                         float(getattr(stats, field)))
+        for field in ("requests", "coalesced", "negative_hits",
+                      "origin_loads"):
+            register(f"cache.hierarchy.{field}",
+                     lambda field=field: float(getattr(self, field)))
+        register("cache.hierarchy.hit_ratio", self.overall_hit_ratio)

@@ -6,8 +6,9 @@
 :class:`~repro.cloudsim.monitoring.MonitoringService`:
 
 * the metrics registry is bound to the series store, so every existing
-  ``incr``/``observe``/``set_gauge`` call anywhere in the platform
-  gains a time dimension without touching its call site;
+  ``incr``/``observe`` call anywhere in the platform, and every pushed
+  ``set_gauge`` value, gains a time dimension without touching its call
+  site; a registered gauge is read when asked and leaves no series;
 * instrumented layers (circuit breakers, cache hierarchy, ingestion
   frontend, compute scheduler) publish lifecycle events through
   :meth:`~repro.cloudsim.monitoring.MonitoringService.publish`, which

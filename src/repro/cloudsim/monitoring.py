@@ -13,7 +13,8 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Pattern, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Pattern,
+                    Tuple)
 
 from ..core.canonical import canonical_json
 from ..core.errors import ConfigurationError, IntegrityError
@@ -214,12 +215,13 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
+        self._readers: Dict[str, Callable[[], float]] = {}
         self._histograms: Dict[str, List[float]] = {}
         self._exemplars: Dict[str, Tuple[float, str]] = {}
         # Optional windowed time-series sink (healthplane).  When bound,
-        # every counter increment, gauge set, and histogram sample also
-        # lands in a clock-aligned window, giving existing call sites a
-        # time dimension without touching them.
+        # every counter increment, pushed gauge value, and histogram
+        # sample also lands in a clock-aligned window, giving existing
+        # call sites a time dimension without touching them.
         self._series = None
 
     def bind_series(self, store: Any) -> None:
@@ -235,12 +237,26 @@ class MetricsRegistry:
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0.0)
 
+    def register_gauge(self, name: str, read: Callable[[], float]) -> None:
+        """Make ``gauge(name)`` return ``read()``, so a gauge reads the
+        state its owner keeps when asked and leaves no series sample.
+
+        A name has one owner: a second reader for it raises
+        :class:`ConfigurationError`.
+        """
+        if name in self._readers:
+            raise ConfigurationError(f"gauge {name!r} already has a reader")
+        self._readers[name] = read
+
     def set_gauge(self, name: str, value: float) -> None:
         self._gauges[name] = value
         if self._series is not None:
             self._series.record(name, value)
 
     def gauge(self, name: str) -> Optional[float]:
+        read = self._readers.get(name)
+        if read is not None:
+            return read()
         return self._gauges.get(name)
 
     def observe(self, name: str, value: float,

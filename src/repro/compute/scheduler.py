@@ -22,9 +22,10 @@ Scheduling properties:
   is live raises :class:`~repro.core.errors.ComputeError`;
 * **lifecycle events** — PENDING → SCHEDULED → RUNNING →
   SUCCEEDED/FAILED/CANCELLED transitions (and per-task/worker events) are
-  published on the health plane :class:`~..cloudsim.healthplane.EventBus`
-  and mirrored into :class:`~..cloudsim.monitoring.MetricsRegistry`
-  gauges;
+  published on the health plane :class:`~..cloudsim.healthplane.EventBus`;
+  the job, queue and worker counts are
+  :class:`~..cloudsim.monitoring.MetricsRegistry` gauges that read the
+  scheduler's own state when asked;
 * **lineage-based recovery** — a FaultPlan crash window kills the
   attempts running on that node and evicts its object store; lost
   objects are recomputed by re-running their producer tasks (idempotent
@@ -195,6 +196,13 @@ class Scheduler:
         self._live: Optional[Job] = None
         self._ready: List[str] = []
         self._running: List[_Attempt] = []
+        if monitoring is not None:
+            register = monitoring.metrics.register_gauge
+            register("compute.jobs.pending", lambda: float(len(self._queue)))
+            register("compute.jobs.running",
+                     lambda: 0.0 if self._live is None else 1.0)
+            register("compute.queue.depth", lambda: float(len(self._ready)))
+            register("compute.workers", lambda: float(self.pool.size()))
 
     # -- submission (the internal surface) -----------------------------------
 
@@ -225,7 +233,6 @@ class Scheduler:
                   f"tasks={len(graph.tasks)}")
         self._publish("job.pending", job_id=job.job_id, graph=graph.name,
                       tenant=tenant_id, tasks=len(graph.tasks))
-        self._gauges()
         return job
 
     # -- lookup ---------------------------------------------------------------
@@ -298,7 +305,6 @@ class Scheduler:
         if job.state is JobState.PENDING:
             self._start(job)
         if job.finished:                      # empty graph succeeds at start
-            self._gauges()
             return job
         with maybe_span(self.tracer, "compute.job", "compute",
                         job_id=job.job_id, graph=job.graph.name) as root:
@@ -306,7 +312,6 @@ class Scheduler:
                 job.trace_id = root.trace_id
             while not job.finished:
                 self._step_job(job, root)
-        self._gauges()
         return job
 
     def step(self, job_id: str) -> bool:
@@ -355,7 +360,6 @@ class Scheduler:
         self._publish(f"job.{state.value}", job_id=job.job_id,
                       tenant=job.tenant_id, graph=job.graph.name)
         self._log(f"job {job.job_id} -> {state.value}")
-        self._gauges()
 
     def _finalize(self, job: Job, state: JobState,
                   error: Optional[BaseException] = None) -> None:
@@ -425,7 +429,6 @@ class Scheduler:
             self._ready.append(task_id)
             if len(self._ready) >= QUEUE_BOUND:
                 break
-        self._gauges()
 
     def _autoscale(self, job: Job) -> None:
         depth = len(self._ready)
@@ -464,7 +467,6 @@ class Scheduler:
                 self._publish("worker.scaled_down", job_id=job.job_id,
                               worker=worker.worker_id, node=worker.node_id)
                 size -= 1
-        self._gauges()
 
     # -- internals: placement -------------------------------------------------
 
@@ -486,7 +488,6 @@ class Scheduler:
             worker = self._place(job, task.inputs, candidates)
             self._ready.pop(0)
             self._launch(job, task_id, worker)
-        self._gauges()
 
     def _place(self, job: Job, inputs: Tuple[str, ...],
                candidates: List[Worker]) -> Worker:
@@ -743,16 +744,6 @@ class Scheduler:
     def _log(self, message: str, level: str = "INFO") -> None:
         if self.monitoring is not None:
             self.monitoring.log("compute", message, level=level)
-
-    def _gauges(self) -> None:
-        if self.monitoring is None:
-            return
-        metrics = self.monitoring.metrics
-        metrics.set_gauge("compute.jobs.pending", float(len(self._queue)))
-        metrics.set_gauge("compute.jobs.running",
-                          0.0 if self._live is None else 1.0)
-        metrics.set_gauge("compute.queue.depth", float(len(self._ready)))
-        metrics.set_gauge("compute.workers", float(self.pool.size()))
 
     # -- reporting ------------------------------------------------------------
 

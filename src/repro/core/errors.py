@@ -59,10 +59,6 @@ class AnonymizationError(HealthCloudError):
     """Data claimed to be anonymized does not meet the required degree."""
 
 
-class MalwareDetectedError(HealthCloudError):
-    """The data filtration system flagged the payload as malicious."""
-
-
 class KeyManagementError(HealthCloudError):
     """A key could not be created, fetched, or has been destroyed."""
 
@@ -73,10 +69,6 @@ class LedgerError(HealthCloudError):
 
 class EndorsementError(LedgerError):
     """A transaction failed to gather the endorsements its policy requires."""
-
-
-class IngestionError(HealthCloudError):
-    """The asynchronous ingestion pipeline rejected an upload."""
 
 
 class ExportError(HealthCloudError):
@@ -152,7 +144,6 @@ HTTP_STATUS_BY_ERROR: Dict[type, int] = {
     NotFoundError: 404,
     AlreadyExistsError: 409,
     ValidationError: 422,
-    MalwareDetectedError: 422,
     AnonymizationError: 422,
     RateLimitError: 429,
     StudyError: 409,

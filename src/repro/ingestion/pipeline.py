@@ -151,6 +151,8 @@ class IngestionService:
         self._sessions: Dict[str, Dict[bytes, SharedKeyCipher]] = {}
         self._jobs: Dict[str, IngestionJob] = {}
         self._queue: Deque[str] = deque()
+        self.monitoring.metrics.register_gauge(
+            "ingestion.queue_depth", lambda: len(self._queue))
         self._job_counter = 0
         self._key_seed = key_seed
         self.reidentification = ReidentificationMap()
@@ -192,8 +194,6 @@ class IngestionService:
         self._jobs[job.job_id] = job
         self._queue.append(job.job_id)
         self.monitoring.metrics.incr("ingestion.uploads")
-        self.monitoring.metrics.set_gauge("ingestion.queue_depth",
-                                          len(self._queue))
         return job
 
     def status(self, job_id: str) -> Tuple[IngestionStatus, str]:
@@ -219,8 +219,6 @@ class IngestionService:
                         batch_size=self.provenance_batch_size) as span:
             while self._queue and (limit is None or processed < limit):
                 job_id = self._queue.popleft()
-                self.monitoring.metrics.set_gauge("ingestion.queue_depth",
-                                                  len(self._queue))
                 job = self._jobs[job_id]
                 with maybe_span(self.tracer, "ingestion.job", "ingestion",
                                 job=job_id) as job_span:
@@ -434,8 +432,8 @@ class ShardedIngestionFrontend:
     ``record_batch`` request; :meth:`flush` seals the remainder and hands
     every sealed batch to the network's fork-join pipelined
     :meth:`ShardedBlockchainNetwork.ingest` in one call.  The
-    ``ingestion.queue_depth`` gauge tracks events buffered or sealed but
-    not yet committed.
+    ``ingestion.pending_events`` gauge reads :attr:`pending_events`:
+    events buffered or sealed but not yet committed.
     """
 
     def __init__(self, network: ShardedBlockchainNetwork,
@@ -448,14 +446,16 @@ class ShardedIngestionFrontend:
         # shard -> (routing key of its first event, open batch)
         self._buffers: Dict[int, Tuple[str, ProvenanceBatch]] = {}
         self._sealed: List[Tuple[str, Tuple[str, str, Dict[str, Any]]]] = []
-        self._sealed_events = 0
         self._batch_counter = 0
+        self.monitoring.metrics.register_gauge(
+            "ingestion.pending_events", lambda: self.pending_events)
 
     @property
     def pending_events(self) -> int:
         """Events accepted but not yet committed to any shard ledger."""
         buffered = sum(len(batch) for _, batch in self._buffers.values())
-        return buffered + self._sealed_events
+        return buffered + sum(len(request[2]["events"])
+                              for _, request in self._sealed)
 
     def record_event(self, routing_key: str, *, handle: str, data_hash: str,
                      event: str, actor: str,
@@ -474,8 +474,6 @@ class ShardedIngestionFrontend:
                                   metadata=metadata)
         if len(batch) >= self.events_per_batch:
             self._seal(shard)
-        self.monitoring.metrics.set_gauge("ingestion.queue_depth",
-                                          self.pending_events)
         return leaf_index
 
     def _seal(self, shard: int) -> None:
@@ -484,7 +482,6 @@ class ShardedIngestionFrontend:
         batch_id = (f"shardbatch-{self.network.shard_name(shard)}"
                     f"-{self._batch_counter:06d}")
         self._sealed.append((routing_key, batch.request(batch_id)))
-        self._sealed_events += len(batch)
         self.monitoring.publish("ingestion", "ingestion.batch_sealed",
                                 shard=self.network.shard_name(shard),
                                 batch=batch_id, events=len(batch))
@@ -498,21 +495,20 @@ class ShardedIngestionFrontend:
         pipeline round.  Returns the ingest report, or ``None`` when
         there was nothing to commit.
 
-        The queue state (and its ``ingestion.queue_depth`` gauge) is
-        only cleared after the ingest succeeds.  A failed ingest keeps
-        the sealed batches that did not commit (shards commit one after
-        another, so some may have), the gauge counts their events, and
-        a later :meth:`flush` retries them.
+        The queue is only cleared after the ingest succeeds.  A failed
+        ingest keeps the sealed batches that did not commit (shards
+        commit one after another, so some may have), so
+        :attr:`pending_events` and its ``ingestion.pending_events`` gauge
+        count their events, and a later :meth:`flush` retries them.
         """
         for shard in sorted(self._buffers):
             self._seal(shard)
         if not self._sealed:
-            self.monitoring.metrics.set_gauge("ingestion.queue_depth", 0)
             return None
         sealed = list(self._sealed)
         self.monitoring.publish("ingestion", "ingestion.flush",
                                 batches=len(sealed),
-                                events=self._sealed_events)
+                                events=self.pending_events)
         try:
             report = self.network.ingest(SUBMITTER, sealed,
                                          round_size=round_size,
@@ -521,8 +517,6 @@ class ShardedIngestionFrontend:
             self._drop_committed()
             raise
         self._sealed = []
-        self._sealed_events = 0
-        self.monitoring.metrics.set_gauge("ingestion.queue_depth", 0)
         return report
 
     def _drop_committed(self) -> None:
@@ -535,7 +529,3 @@ class ShardedIngestionFrontend:
             (key, request) for key, request in self._sealed
             if self.network.query(key, "provenance", "get_batch",
                                   batch_id=request[2]["batch_id"]) is None]
-        self._sealed_events = sum(len(request[2]["events"])
-                                  for _, request in self._sealed)
-        self.monitoring.metrics.set_gauge("ingestion.queue_depth",
-                                          self.pending_events)

@@ -14,8 +14,10 @@ so nothing is ever dropped silently.
 Every processed event is traced as one span tree (root
 ``streaming.process`` with admit/commit/update/push children, so the
 critical-path attribution sums to exactly 100%), metered under
-``streaming.*`` (queue depth and shed rate become healthplane series the
-moment a plane is attached, via ``bind_series``), and chaos-hardened:
+``streaming.*`` (``streaming.queue_depth`` is a gauge that reads
+:attr:`StreamingPipeline.depth` when asked, and the shed counters become
+healthplane series the moment a plane is attached, via
+``bind_series``), and chaos-hardened:
 the commit stage consults an optional
 :class:`~repro.cloudsim.faults.FaultPlan` on the worker→orderer link and
 retries through a ``ResilientExecutor``, falling back to the frontend's
@@ -99,6 +101,8 @@ class StreamingPipeline:
         self.refresh_jobs: List[str] = []
         self._since_flush = 0
         self.last_trace_id: Optional[str] = None
+        self.monitoring.metrics.register_gauge("streaming.queue_depth",
+                                               lambda: self.depth)
 
     @property
     def tracer(self):
@@ -132,10 +136,6 @@ class StreamingPipeline:
     def shed(self) -> int:
         return sum(q.shed for q in self._queues.values())
 
-    def _gauge_depth(self) -> None:
-        self.monitoring.metrics.set_gauge("streaming.queue_depth",
-                                          self.depth)
-
     # -- the open-loop driver --------------------------------------------------
 
     def submit(self, event: StreamEvent) -> bool:
@@ -151,7 +151,6 @@ class StreamingPipeline:
                 f"streaming.shed.class.{result.shed_event.event_class}")
         if result.admitted:
             self.monitoring.metrics.incr("streaming.admitted")
-        self._gauge_depth()
         return result.admitted
 
     def run(self, events) -> None:
@@ -181,7 +180,6 @@ class StreamingPipeline:
             if queue is None:
                 break
             self._process(queue.pop())
-            self._gauge_depth()
             served += 1
         return served
 

@@ -12,7 +12,12 @@ from repro.blockchain.identity import (
     SelfSovereignIdentity,
 )
 from repro.blockchain.network import ORGANIZATIONS, consortium_msp
-from repro.core.errors import AuthenticationError, LedgerError, NotFoundError
+from repro.core.errors import (
+    AuthenticationError,
+    LedgerError,
+    NotFoundError,
+    ValidationError,
+)
 from repro.crypto.rsa import generate_keypair, rsa_verify
 from repro.fhir.resources import Bundle, Observation, Patient
 from repro.ingestion.pipeline import encrypt_bundle_for_upload
@@ -221,6 +226,15 @@ class TestAuditorView:
         assert view.search(arg_equals={"batch_id": "audit-9"}) == []
         # Per-event fields sit inside the batch; search_events reads them.
         assert len(view.search_events(handle="rec-0")) == 3
+
+    def test_search_refuses_event_fields(self, populated_network):
+        # Regression: no transaction carries an event field as a
+        # top-level argument, so such a search found nothing, silently.
+        view = AuditorView(populated_network)
+        for name in ("handle", "data_hash", "event", "actor"):
+            with pytest.raises(ValidationError, match="search_events"):
+                view.search(chaincode="provenance",
+                            arg_equals={name: "rec-0"})
 
     def test_record_history(self, populated_network):
         view = AuditorView(populated_network)

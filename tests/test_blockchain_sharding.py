@@ -583,6 +583,23 @@ class TestPendingGaugeFreshness:
             assert self._gauge(net, shard) == 0
             assert net.channels[shard].orderer.pending_count == 0
 
+    def test_drain_outside_the_network_reads_zero(self):
+        # Regression: a cross-shard commit writes through the channel's
+        # own invoke, which drains the orderer without the network
+        # refreshing its gauge, so the gauge kept reading 1.
+        net = ShardedBlockchainNetwork(2, seed=0, batch_size=100)
+        key = "patient-0001"
+        shard = net.router.shard_for(key)
+        net.submit("ingestion-service", key, "provenance", "record_batch",
+                   **one_leaf_batch(handle="h-0", data_hash="aa",
+                                    event="received", actor="a"))
+        assert self._gauge(net, shard) == 1
+        txn = CrossShardCoordinator(net).submit(
+            "ingestion-service", [_consent_op(key, "p-a")])
+        assert txn.state == "committed"
+        assert net.channels[shard].orderer.pending_count == 0
+        assert self._gauge(net, shard) == 0
+
     def test_aborted_ingest_leaves_true_residue_not_stale_snapshot(self):
         # Regression: an ingest that died mid-run (here: round 2's batch
         # cannot meet the endorsement policy because its chaincode is

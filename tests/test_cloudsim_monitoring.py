@@ -155,6 +155,17 @@ class TestMetrics:
         assert metrics.gauge("g") == 1.5
         assert metrics.gauge("missing") is None
 
+    def test_registered_gauge_reads_its_owner_when_asked(self):
+        metrics = MetricsRegistry()
+        queue = []
+        metrics.register_gauge("depth", lambda: len(queue))
+        assert metrics.gauge("depth") == 0
+        queue.append("job")
+        assert metrics.gauge("depth") == 1
+        with pytest.raises(ConfigurationError, match="'depth'"):
+            metrics.register_gauge("depth", lambda: 0)
+        assert metrics.gauge("depth") == 1
+
     def test_summary_percentiles(self):
         metrics = MetricsRegistry()
         for v in range(1, 101):
@@ -327,6 +338,16 @@ class TestSeriesBinding:
         assert store.total("hits", 10.0) == 1.0
         assert store.total("lat", 10.0) == 0.5
         assert store.latest("depth").last == 7.0
+
+    def test_registered_gauge_leaves_no_sample(self):
+        from repro.cloudsim.healthplane import TimeSeriesStore
+        clock = SimClock()
+        metrics = MetricsRegistry()
+        store = TimeSeriesStore(clock, interval_s=10.0)
+        metrics.bind_series(store)
+        metrics.register_gauge("depth", lambda: 3)
+        assert metrics.gauge("depth") == 3
+        assert not store.has_series("depth")
 
     def test_unbound_registry_unchanged(self):
         metrics = MetricsRegistry()

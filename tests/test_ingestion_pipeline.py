@@ -254,6 +254,34 @@ class TestQueueDepthGauge:
         p.run_ingestion()
         assert metrics.gauge("ingestion.queue_depth") == 0
 
+    def test_platform_and_frontend_gauges_share_one_monitoring(
+            self, platform):
+        # Regression: the frontend pushed its pending events under the
+        # service's ``ingestion.queue_depth``, so the last writer won.
+        from repro.blockchain import ShardedBlockchainNetwork
+        from repro.core.errors import ConfigurationError
+        from repro.ingestion import ShardedIngestionFrontend
+        p, _, group, registration = platform
+        network = ShardedBlockchainNetwork(2, seed=5, clock=p.clock,
+                                           monitoring=p.monitoring)
+        frontend = ShardedIngestionFrontend(network)
+        for i in range(2):
+            p.ingestion.upload(
+                "client-1",
+                encrypt_bundle_for_upload(
+                    make_bundle(patient_id=f"pt-{i}", bundle_id=f"b{i}"),
+                    registration),
+                group.group_id)
+        for i in range(5):
+            frontend.record_event(f"patient-{i:03d}", handle=f"h-{i}",
+                                  data_hash="aa", event="received",
+                                  actor="ingest")
+        metrics = p.monitoring.metrics
+        assert metrics.gauge("ingestion.queue_depth") == 2
+        assert metrics.gauge("ingestion.pending_events") == 5
+        with pytest.raises(ConfigurationError):
+            ShardedIngestionFrontend(network)
+
     def test_provenance_batch_root_matches_batch_tree(self, platform):
         """The incrementally built flush root must equal the root the
         record_batch contract recomputes — otherwise endorsement fails."""
@@ -426,10 +454,10 @@ class TestShardedIngestionFrontend:
         metrics = network.monitoring.metrics
         self._fill(frontend, 7)
         assert frontend.pending_events == 7
-        assert metrics.gauge("ingestion.queue_depth") == 7
+        assert metrics.gauge("ingestion.pending_events") == 7
         frontend.flush()
         assert frontend.pending_events == 0
-        assert metrics.gauge("ingestion.queue_depth") == 0
+        assert metrics.gauge("ingestion.pending_events") == 0
 
     def test_full_buffers_seal_automatically(self):
         network, frontend = self._frontend(events_per_batch=2)
@@ -462,7 +490,7 @@ class TestShardedIngestionFrontend:
 
 
 class TestFrontendQueueDepthFreshness:
-    """Regression: ``ingestion.queue_depth`` went to 0 on a *failed* flush.
+    """Regression: the frontend's gauge went to 0 on a *failed* flush.
 
     The old flush cleared the sealed queue and zeroed the gauge before
     calling ``network.ingest``, so an endorsement failure lost the
@@ -500,7 +528,7 @@ class TestFrontendQueueDepthFreshness:
             frontend.flush()
         metrics = network.monitoring.metrics
         assert frontend.pending_events == 4        # batches retained
-        assert metrics.gauge("ingestion.queue_depth") == 4
+        assert metrics.gauge("ingestion.pending_events") == 4
 
     def test_bad_round_size_keeps_queue_and_gauge(self):
         # Regression: round_size=-1 reached the network, which committed
@@ -516,7 +544,7 @@ class TestFrontendQueueDepthFreshness:
             with pytest.raises(LedgerError):
                 frontend.flush(round_size=round_size)
             assert frontend.pending_events == 6
-            assert metrics.gauge("ingestion.queue_depth") == 6
+            assert metrics.gauge("ingestion.pending_events") == 6
         assert all(channel.peers[0].ledger.height == 0
                    for channel in network.channels)
         report = frontend.flush(round_size=1)
@@ -541,7 +569,8 @@ class TestFrontendQueueDepthFreshness:
         report = frontend.flush()                  # same sealed batch retried
         assert report is not None and report.transactions == 1
         assert frontend.pending_events == 0
-        assert network.monitoring.metrics.gauge("ingestion.queue_depth") == 0
+        assert network.monitoring.metrics.gauge(
+            "ingestion.pending_events") == 0
         assert network.peers_converged()
 
     def test_partly_failed_flush_retries_only_uncommitted_batches(self):
@@ -564,13 +593,13 @@ class TestFrontendQueueDepthFreshness:
         assert [c.peers[0].ledger.height for c in network.channels] == [1, 0]
         metrics = network.monitoring.metrics
         assert frontend.pending_events == 2        # shard-01's only
-        assert metrics.gauge("ingestion.queue_depth") == 2
+        assert metrics.gauge("ingestion.pending_events") == 2
         network.clock.advance(2_000.0)             # peers recover
         report = frontend.flush()
         assert report is not None and report.transactions == 1
         assert list(report.shard_reports) == ["shard-01"]
         assert frontend.pending_events == 0
-        assert metrics.gauge("ingestion.queue_depth") == 0
+        assert metrics.gauge("ingestion.pending_events") == 0
         history = network.query(keys[1], "provenance", "get_history",
                                 handle="h-1-0")
         assert len(history) == 1

@@ -269,6 +269,10 @@ class TestHitRatioAccounting:
         assert gauge("cache.client.admission_rejections") is not None
         assert gauge("cache.hierarchy.hit_ratio") == pytest.approx(
             hierarchy.overall_hit_ratio())
+        hierarchy.get("a")                 # the gauges stay live
+        assert gauge("cache.hierarchy.requests") == 5.0
+        assert gauge("cache.client.hits") == float(
+            hierarchy.levels[0].cache.stats.hits)
 
 
 class TestBulkKnowledgeBases:

@@ -86,7 +86,7 @@ def _world(workers):
     fault_plan = FaultPlan(seed=SEED, clock=clock)
     scheduler = standard_scheduler(
         clock=clock, monitoring=monitoring, fault_plan=fault_plan,
-        min_workers=workers, max_workers=workers, autoscale=False)
+        min_workers=workers, max_workers=workers)
     return scheduler, clock, plane, fault_plan
 
 
@@ -137,8 +137,7 @@ def _recovery(n_tasks):
                           end_s=CRASH_END_S)
     scheduler = standard_scheduler(
         clock=clock, monitoring=monitoring, tracer=tracer,
-        fault_plan=fault_plan, min_workers=4, max_workers=4,
-        autoscale=False)
+        fault_plan=fault_plan, min_workers=4, max_workers=4)
     job = scheduler.submit(_similarity_graph(n_tasks),
                            submitted_by="bench-p8")
     scheduler.run(job.job_id)

@@ -206,7 +206,6 @@ class CacheHierarchy(Generic[K, V]):
                 self.clock.advance(self.origin.access_cost_s
                                    + self.origin.per_item_cost_s)
                 self.origin_loads += 1
-                self._metric("cache.origin_loads")
                 self._publish("origin_fetch", origin=self.origin.name,
                               keys=1)
                 try:
@@ -236,7 +235,6 @@ class CacheHierarchy(Generic[K, V]):
             self.clock.advance_to(start)
         all_keys = list(keys)
         self.batched_lookups += 1
-        self._metric("cache.batched_lookups")
         self.requests += len(all_keys)
         with maybe_span(self.tracer, "cache.get_many", "cache",
                         keys=len(all_keys)) as span:
@@ -255,7 +253,6 @@ class CacheHierarchy(Generic[K, V]):
         for key in all_keys:
             if key in seen:
                 self.coalesced += 1
-                self._metric("cache.coalesced")
             else:
                 seen.add(key)
                 unique.append(key)
@@ -270,7 +267,6 @@ class CacheHierarchy(Generic[K, V]):
             if flight is not None and start < flight.completes_at:
                 self.coalesced += 1
                 coalesced += 1
-                self._metric("cache.coalesced")
                 self.clock.advance_to(flight.completes_at)
                 if flight.not_found:
                     missing.append(key)
@@ -305,7 +301,6 @@ class CacheHierarchy(Generic[K, V]):
                     self.origin.access_cost_s
                     + self.origin.per_item_cost_s * len(remaining))
                 self.origin_loads += len(remaining)
-                self._metric("cache.origin_loads", len(remaining))
                 self._publish("origin_fetch", origin=self.origin.name,
                               keys=len(remaining))
                 loaded = self.origin.load_many(remaining)
@@ -367,7 +362,6 @@ class CacheHierarchy(Generic[K, V]):
             del self._inflight[key]
             return None
         self.coalesced += 1
-        self._metric("cache.coalesced")
         self.clock.advance_to(flight.completes_at)
         if flight.not_found:
             raise NotFoundError(
@@ -381,7 +375,6 @@ class CacheHierarchy(Generic[K, V]):
             return False
         if start < expiry:
             self.negative_hits += 1
-            self._metric("cache.negative_hits")
             return True
         del self._negative[key]
         return False
@@ -399,10 +392,6 @@ class CacheHierarchy(Generic[K, V]):
             self._inflight = {k: f for k, f in self._inflight.items()
                               if f.completes_at > now}
         self._inflight[key] = flight
-
-    def _metric(self, name: str, value: float = 1.0) -> None:
-        if self.monitoring is not None:
-            self.monitoring.metrics.incr(name, value)
 
     def _publish(self, kind: str, **attributes: Any) -> None:
         if self.monitoring is not None:
@@ -439,7 +428,7 @@ class CacheHierarchy(Generic[K, V]):
                          lambda stats=stats, field=field:
                          float(getattr(stats, field)))
         for field in ("requests", "coalesced", "negative_hits",
-                      "origin_loads"):
+                      "origin_loads", "batched_lookups"):
             register(f"cache.hierarchy.{field}",
                      lambda field=field: float(getattr(self, field)))
         register("cache.hierarchy.hit_ratio", self.overall_hit_ratio)

@@ -279,8 +279,7 @@ class Tracer:
         self.clock = clock if clock is not None else SimClock()
         self.max_traces = max_traces
         self._stack: List[Span] = []
-        self._traces: Dict[str, Span] = {}      # finished, keyed by trace id
-        self._trace_order: List[str] = []
+        self._traces: Dict[str, Span] = {}      # finished, oldest first
         self._trace_counter = 0
         self._span_counter = 0
 
@@ -323,15 +322,13 @@ class Tracer:
         if span.parent_id is None:
             _seal(span)
             self._traces[span.trace_id] = span
-            self._trace_order.append(span.trace_id)
-            if len(self._trace_order) > self.max_traces:
-                oldest = self._trace_order.pop(0)
-                self._traces.pop(oldest, None)
+            if len(self._traces) > self.max_traces:
+                del self._traces[next(iter(self._traces))]
 
     # -- lookup --------------------------------------------------------------
 
     def trace_ids(self) -> List[str]:
-        return list(self._trace_order)
+        return list(self._traces)
 
     def get_trace(self, trace_id: str) -> Span:
         try:

@@ -8,9 +8,10 @@ federated authentication, per-tenant **and per-route** rate limits, RBAC
 read-only roles can poll), deadlines, metering, and audit logging all
 apply before the scheduler ever sees the graph.
 
-Tenant isolation is strict: a job id belonging to another tenant behaves
-exactly like a missing one (404), so ids cannot be probed across
-tenants.  Every handler threads the job id into the ``audit`` log
+Tenant isolation is the shared rule of
+:class:`~repro.core.api.TenantSurface`: a job id belonging to another
+tenant behaves exactly like a missing one (404), so ids cannot be probed
+across tenants.  Every handler threads the job id into the ``audit`` log
 stream, so :meth:`~repro.compliance.audit.AuditService.search_logs`
 reconstructs a job's API history from submission to cancellation.
 
@@ -20,12 +21,12 @@ this module is the only supported path for tenant traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
-from ..core.api import ApiGateway, RequestContext, RouteSpec, audit_request
-from ..core.errors import NotFoundError, ValidationError
-from ..rbac.model import Action, ScopeKind
+from ..core.api import RequestContext, TenantSurface
+from ..core.errors import ValidationError
+from ..rbac.model import Action
 from .graph import TaskGraph
 from .scheduler import Job, Scheduler
 
@@ -40,7 +41,6 @@ SUBMIT_RATE_LIMIT = 20
 STATUS_RATE_LIMIT = 240
 RESULT_RATE_LIMIT = 60
 CANCEL_RATE_LIMIT = 30
-RATE_WINDOW_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -89,53 +89,32 @@ class JobStatusResponse:
             trace_id=job.trace_id)
 
     def to_body(self) -> Dict[str, Any]:
-        return {
-            "job_id": self.job_id, "state": self.state, "graph": self.graph,
-            "tenant_id": self.tenant_id,
-            "submitted_at_s": self.submitted_at_s,
-            "started_at_s": self.started_at_s,
-            "finished_at_s": self.finished_at_s,
-            "makespan_s": self.makespan_s, "tasks": self.tasks,
-            "attempts": self.attempts,
-            "recovered_tasks": self.recovered_tasks,
-            "error": self.error, "error_type": self.error_type,
-            "trace_id": self.trace_id,
-        }
+        return asdict(self)
 
 
-class ComputeApi:
+class ComputeApi(TenantSurface):
     """Registers the ``/v1/compute`` routes against one scheduler."""
+
+    noun = "compute job"
+    resource_type = COMPUTE_RESOURCE
+    route_table = (
+        ("/compute/submit", "submit", Action.WRITE, SUBMIT_RATE_LIMIT,
+         "submit a task graph as a compute job"),
+        ("/compute/status", "status", Action.READ, STATUS_RATE_LIMIT,
+         "poll a compute job's lifecycle state"),
+        ("/compute/result", "result", Action.READ, RESULT_RATE_LIMIT,
+         "fetch a finished compute job's outputs"),
+        ("/compute/cancel", "cancel", Action.WRITE, CANCEL_RATE_LIMIT,
+         "cancel a pending or running compute job"),
+    )
 
     def __init__(self, scheduler: Scheduler) -> None:
         self.scheduler = scheduler
+        self.monitoring = scheduler.monitoring
 
-    # -- wiring ---------------------------------------------------------------
-
-    def register_routes(self, gateway: ApiGateway) -> None:
-        gateway.register_route(RouteSpec(
-            path="/compute/submit", handler=self.submit,
-            action=Action.WRITE, resource_type=COMPUTE_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="submit a task graph as a compute job",
-            rate_limit=SUBMIT_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/compute/status", handler=self.status,
-            action=Action.READ, resource_type=COMPUTE_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="poll a compute job's lifecycle state",
-            rate_limit=STATUS_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/compute/result", handler=self.result,
-            action=Action.READ, resource_type=COMPUTE_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="fetch a finished compute job's outputs",
-            rate_limit=RESULT_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/compute/cancel", handler=self.cancel,
-            action=Action.WRITE, resource_type=COMPUTE_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="cancel a pending or running compute job",
-            rate_limit=CANCEL_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
+    def tenant_of(self, job_id: str) -> Optional[str]:
+        job = self.scheduler.jobs.get(job_id)
+        return None if job is None else job.tenant_id
 
     # -- handlers -------------------------------------------------------------
 
@@ -148,9 +127,9 @@ class ComputeApi:
         job = self.scheduler.submit(request.graph,
                                     tenant_id=context.tenant_id,
                                     submitted_by=context.user.user_id)
-        self._audit(context, job, "submitted",
-                    extra=f"graph={request.graph.name} "
-                          f"tasks={len(request.graph.tasks)}")
+        self.audit(context, job.job_id, "submitted",
+                   extra=f"graph={request.graph.name} "
+                         f"tasks={len(request.graph.tasks)}")
         # The simulation has no background executor: a submitted job is
         # driven to completion during dispatch, so "async" submission
         # still yields a terminal status to poll.
@@ -158,36 +137,24 @@ class ComputeApi:
         return JobStatusResponse.from_job(job).to_body()
 
     def status(self, context: RequestContext, job_id: str) -> Dict[str, Any]:
-        job = self._owned(context, job_id)
-        self._audit(context, job, "status read")
-        return JobStatusResponse.from_job(job).to_body()
+        self.require_owned(context, job_id)
+        self.audit(context, job_id, "status read")
+        return JobStatusResponse.from_job(
+            self.scheduler.job(job_id)).to_body()
 
     def result(self, context: RequestContext, job_id: str,
                key: Optional[str] = None) -> Dict[str, Any]:
-        job = self._owned(context, job_id)
+        self.require_owned(context, job_id)
         value = self.scheduler.result(job_id, key)
-        self._audit(context, job, "result read",
-                    extra=f"key={key!r}" if key else "all outputs")
+        self.audit(context, job_id, "result read",
+                   extra=f"key={key!r}" if key else "all outputs")
         outputs = value if key is None else {key: value}
-        return {"job_id": job_id, "state": job.state.value,
+        return {"job_id": job_id,
+                "state": self.scheduler.job(job_id).state.value,
                 "outputs": outputs}
 
     def cancel(self, context: RequestContext, job_id: str) -> Dict[str, Any]:
-        job = self._owned(context, job_id)
-        self.scheduler.cancel(job_id)
-        self._audit(context, job, "cancellation requested")
+        self.require_owned(context, job_id)
+        job = self.scheduler.cancel(job_id)
+        self.audit(context, job_id, "cancellation requested")
         return JobStatusResponse.from_job(job).to_body()
-
-    # -- internals ------------------------------------------------------------
-
-    def _owned(self, context: RequestContext, job_id: str) -> Job:
-        """Tenant isolation: someone else's job looks exactly like no job."""
-        job = self.scheduler.job(job_id)
-        if job.tenant_id != context.tenant_id:
-            raise NotFoundError(f"no compute job {job_id!r}")
-        return job
-
-    def _audit(self, context: RequestContext, job: Job, verb: str,
-               extra: str = "") -> None:
-        audit_request(self.scheduler.monitoring, context,
-                      f"compute job {job.job_id}", verb, extra)

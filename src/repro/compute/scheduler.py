@@ -175,8 +175,7 @@ class Scheduler:
                  monitoring: Optional[MonitoringService] = None,
                  tracer: Optional[Tracer] = None,
                  fault_plan=None, *,
-                 min_workers: int = 1, max_workers: int = 8,
-                 autoscale: bool = True) -> None:
+                 min_workers: int = 1, max_workers: int = 8) -> None:
         if min_workers < 0 or max_workers < 1 or min_workers > max_workers:
             raise ConfigurationError(
                 f"bad worker bounds [{min_workers}, {max_workers}]")
@@ -187,7 +186,6 @@ class Scheduler:
         self.fault_plan = fault_plan
         self.min_workers = min_workers
         self.max_workers = max_workers
-        self.autoscale = autoscale
         self.jobs: Dict[str, Job] = {}
         self._queue: List[str] = []            # submitted, not yet run
         self._job_counter = 0
@@ -391,8 +389,7 @@ class Scheduler:
             return
 
         self._promote(job)
-        if self.autoscale:
-            self._autoscale(job)
+        self._autoscale(job)
         self._assign(job, root)
 
         if self._all_succeeded(job):

@@ -44,6 +44,9 @@ Handler = Callable[..., Any]
 
 DEFAULT_API_VERSION = "v1"
 
+# The window every tenant surface's per-route rate limits count over.
+RATE_WINDOW_S = 60.0
+
 
 @dataclass(frozen=True)
 class RouteSpec:
@@ -147,6 +150,19 @@ class RequestContext:
     trace: Optional[TraceContext] = None
 
 
+def require_owner(owner: Optional[str], context: RequestContext,
+                  noun: str, resource_id: str) -> None:
+    """Tenant isolation: another tenant's resource reads like a missing one.
+
+    ``owner`` is the tenant that owns ``resource_id``, or ``None`` for an
+    unknown id.  Both a foreign and an unknown id raise the same
+    ``NotFoundError("no <noun> '<id>'")``, so ids cannot be probed across
+    tenants.
+    """
+    if owner != context.tenant_id:
+        raise NotFoundError(f"no {noun} {resource_id!r}")
+
+
 def audit_request(monitoring: Optional[MonitoringService],
                   context: RequestContext, subject: str, verb: str,
                   extra: str = "") -> None:
@@ -234,39 +250,28 @@ class ApiGateway:
                         path=request.path, request_id=request_id) as span:
             try:
                 body = self._handle(request, request_id, observed)
+                status = 200
             except Exception as exc:
                 status = http_status_for(exc)
-                span.set_attribute("http.status", status)
+                body = {"error": str(exc)}
                 span.set_status("ERROR", f"{type(exc).__name__}: {exc}")
                 self.monitoring.log(
                     "api", f"{request_id} {status} {request.path}: {exc}",
                     level="ERROR" if status >= 500 else "WARN",
                     trace=span.trace_id)
-                self.monitoring.metrics.incr(f"api.status.{status}")
-                self.monitoring.metrics.observe(
-                    "api.latency", self.clock.now - started,
-                    trace_id=span.trace_id)
-                self._observe_health(observed, status,
-                                     self.clock.now - started, span.trace_id)
-                return ApiResponse(status, {"error": str(exc)}, request_id)
-            span.set_attribute("http.status", 200)
-            self.monitoring.metrics.incr("api.status.200")
-            self.monitoring.metrics.observe(
-                "api.latency", self.clock.now - started,
-                trace_id=span.trace_id)
-            self._observe_health(observed, 200, self.clock.now - started,
-                                 span.trace_id)
-            return ApiResponse(200, body, request_id)
-
-    def _observe_health(self, observed: Dict[str, str], status: int,
-                        latency_s: float,
-                        trace_id: Optional[str]) -> None:
-        """Feed the health plane, when one is attached to monitoring."""
-        plane = self.monitoring.healthplane
-        if plane is not None:
-            plane.observe_request(tenant=observed["tenant"],
-                                  route=observed["route"], status=status,
-                                  latency_s=latency_s, trace_id=trace_id)
+            # One outcome record per request, whatever the status.
+            span.set_attribute("http.status", status)
+            latency_s = self.clock.now - started
+            self.monitoring.metrics.incr(f"api.status.{status}")
+            self.monitoring.metrics.observe("api.latency", latency_s,
+                                            trace_id=span.trace_id)
+            plane = self.monitoring.healthplane
+            if plane is not None:
+                plane.observe_request(tenant=observed["tenant"],
+                                      route=observed["route"], status=status,
+                                      latency_s=latency_s,
+                                      trace_id=span.trace_id)
+            return ApiResponse(status, body, request_id)
 
     def _handle(self, request: ApiRequest, request_id: str,
                 observed: Dict[str, str]) -> Any:
@@ -323,3 +328,47 @@ class ApiGateway:
             raise DeadlineExceededError(
                 f"deadline {request.deadline_s:.3f}s passed {when} "
                 f"(now {self.clock.now:.3f}s)")
+
+
+class TenantSurface:
+    """A tenant-scoped ``/v1`` surface: its routes, isolation and audit.
+
+    A subclass declares its ``noun`` (``"compute job"``), the RBAC
+    ``resource_type`` its routes guard, a ``route_table`` of ``(path,
+    handler name, action, per-route rate limit, description)`` rows and
+    :meth:`tenant_of`, and sets ``monitoring`` (``None`` writes no audit
+    line).  Every route is tenant-scoped and counts its rate
+    limit over :data:`RATE_WINDOW_S`.  Handlers call
+    :meth:`require_owned` before touching a resource, so another
+    tenant's id reads exactly like a missing one (:func:`require_owner`),
+    and :meth:`audit` to write ``<noun> <id> <verb> ...`` to the audit
+    stream.
+    """
+
+    noun: str
+    resource_type: str
+    route_table: Tuple[Tuple[str, str, Action, int, str], ...]
+    monitoring: Optional[MonitoringService]
+
+    def tenant_of(self, resource_id: str) -> Optional[str]:
+        """The tenant that owns ``resource_id``; ``None`` if it is unknown."""
+        raise NotImplementedError
+
+    def register_routes(self, gateway: ApiGateway) -> None:
+        for path, handler, action, rate_limit, description in (
+                self.route_table):
+            gateway.register_route(RouteSpec(
+                path=path, handler=getattr(self, handler), action=action,
+                resource_type=self.resource_type,
+                scope_kind=ScopeKind.TENANT, description=description,
+                rate_limit=rate_limit, rate_window_s=RATE_WINDOW_S))
+
+    def require_owned(self, context: RequestContext,
+                      resource_id: str) -> None:
+        require_owner(self.tenant_of(resource_id), context, self.noun,
+                      resource_id)
+
+    def audit(self, context: RequestContext, resource_id: str, verb: str,
+              extra: str = "") -> None:
+        audit_request(self.monitoring, context,
+                      f"{self.noun} {resource_id}", verb, extra)

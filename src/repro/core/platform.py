@@ -149,6 +149,8 @@ class HealthCloudPlatform:
 
         Routes require a tenant-scoped permission on their resource type:
         ``platform-status`` (read), ``reports`` (read), ``billing`` (read).
+        ``/ingestion/status`` answers only for a job whose group the
+        caller's tenant owns; any other id reads as unknown (404).
         Handlers receive the request's
         :class:`~repro.core.api.RequestContext` plus its parameters.
 
@@ -163,7 +165,16 @@ class HealthCloudPlatform:
         run/status/result on ``studies``).
         """
         from ..rbac.model import Action, ScopeKind
-        from .api import ApiGateway, RouteSpec
+        from .api import ApiGateway, RouteSpec, require_owner
+
+        def ingestion_status(context, job_id):
+            # A job belongs to the tenant that owns its group.
+            job = self.ingestion.jobs.get(job_id)
+            group = None if job is None else self.rbac.groups.get(
+                job.group_id)
+            require_owner(None if group is None else group.tenant_id,
+                          context, "ingestion job", job_id)
+            return {"status": job.status.value, "reason": job.reason}
 
         gateway = ApiGateway(
             self.rbac, self.federation, monitoring=self.monitoring,
@@ -171,10 +182,7 @@ class HealthCloudPlatform:
             meter=lambda tenant_id, path: self.metering.record(
                 tenant_id, "api.call"))
         gateway.register_route(RouteSpec(
-            path="/ingestion/status",
-            handler=lambda context, job_id: {
-                "status": self.ingestion.status(job_id)[0].value,
-                "reason": self.ingestion.status(job_id)[1]},
+            path="/ingestion/status", handler=ingestion_status,
             action=Action.READ, resource_type="platform-status",
             scope_kind=ScopeKind.TENANT,
             description="poll an ingestion job's status URL"))

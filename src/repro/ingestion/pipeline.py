@@ -149,7 +149,7 @@ class IngestionService:
         self._client_keys: Dict[str, RsaPrivateKey] = {}
         # client -> its current upload session's wrapped key and cipher
         self._sessions: Dict[str, Dict[bytes, SharedKeyCipher]] = {}
-        self._jobs: Dict[str, IngestionJob] = {}
+        self.jobs: Dict[str, IngestionJob] = {}
         self._queue: Deque[str] = deque()
         self.monitoring.metrics.register_gauge(
             "ingestion.queue_depth", lambda: len(self._queue))
@@ -191,7 +191,7 @@ class IngestionService:
             group_id=group_id,
             envelope=envelope,
         )
-        self._jobs[job.job_id] = job
+        self.jobs[job.job_id] = job
         self._queue.append(job.job_id)
         self.monitoring.metrics.incr("ingestion.uploads")
         return job
@@ -219,7 +219,7 @@ class IngestionService:
                         batch_size=self.provenance_batch_size) as span:
             while self._queue and (limit is None or processed < limit):
                 job_id = self._queue.popleft()
-                job = self._jobs[job_id]
+                job = self.jobs[job_id]
                 with maybe_span(self.tracer, "ingestion.job", "ingestion",
                                 job=job_id) as job_span:
                     self._process(job)
@@ -402,7 +402,7 @@ class IngestionService:
 
     def _job(self, job_id: str) -> IngestionJob:
         try:
-            return self._jobs[job_id]
+            return self.jobs[job_id]
         except KeyError:
             raise NotFoundError(f"job {job_id} unknown") from None
 

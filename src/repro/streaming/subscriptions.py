@@ -10,11 +10,12 @@ patient ids, a priority floor) and the channel is a dedicated bounded
 matches, in publish order, with the bus's drop accounting intact.
 
 Tenants manage subscriptions through the versioned ``/v1/subscriptions``
-gateway surface (:class:`SubscriptionApi`), which follows the compute
-API's contract: federated auth, RBAC (WRITE on ``subscriptions`` to
-register/cancel, READ to list/poll), per-route rate limits, strict
-tenant isolation (another tenant's subscription id behaves like a
-missing one), and audit log entries for every verb.
+gateway surface (:class:`SubscriptionApi`), a
+:class:`~repro.core.api.TenantSurface` like the compute API: federated
+auth, RBAC (WRITE on ``subscriptions`` to register/cancel, READ to
+list/poll), per-route rate limits, the shared tenant-isolation rule
+(another tenant's subscription id behaves like a missing one), and
+audit log entries for every verb.
 
 The bus has no unsubscribe — names are permanent — so cancellation
 flips the registry-side ``active`` flag: nothing further is published to
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..cloudsim.healthplane.events import EventBus
-from ..core.api import ApiGateway, RequestContext, RouteSpec, audit_request
+from ..core.api import RequestContext, TenantSurface
 from ..core.errors import NotFoundError, ValidationError
-from ..rbac.model import Action, ScopeKind
+from ..rbac.model import Action
 from .feed import StreamEvent
 
 SUBSCRIPTION_RESOURCE = "subscriptions"
@@ -38,7 +39,6 @@ REGISTER_RATE_LIMIT = 30
 LIST_RATE_LIMIT = 60
 POLL_RATE_LIMIT = 240
 CANCEL_RATE_LIMIT = 30
-RATE_WINDOW_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -187,41 +187,31 @@ class SubscriptionRegistry:
         }
 
 
-class SubscriptionApi:
+class SubscriptionApi(TenantSurface):
     """Registers the ``/v1/subscriptions`` routes against one registry."""
+
+    noun = "subscription"
+    resource_type = SUBSCRIPTION_RESOURCE
+    route_table = (
+        ("/subscriptions/register", "register", Action.WRITE,
+         REGISTER_RATE_LIMIT,
+         "register a push subscription (criteria + channel)"),
+        ("/subscriptions/list", "list", Action.READ, LIST_RATE_LIMIT,
+         "list this tenant's push subscriptions"),
+        ("/subscriptions/poll", "poll", Action.READ, POLL_RATE_LIMIT,
+         "drain a subscription's pushed events"),
+        ("/subscriptions/cancel", "cancel", Action.WRITE, CANCEL_RATE_LIMIT,
+         "deactivate a push subscription"),
+    )
 
     def __init__(self, registry: SubscriptionRegistry, *,
                  monitoring=None) -> None:
         self.registry = registry
         self.monitoring = monitoring
 
-    # -- wiring ---------------------------------------------------------------
-
-    def register_routes(self, gateway: ApiGateway) -> None:
-        gateway.register_route(RouteSpec(
-            path="/subscriptions/register", handler=self.register,
-            action=Action.WRITE, resource_type=SUBSCRIPTION_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="register a push subscription (criteria + channel)",
-            rate_limit=REGISTER_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/subscriptions/list", handler=self.list,
-            action=Action.READ, resource_type=SUBSCRIPTION_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="list this tenant's push subscriptions",
-            rate_limit=LIST_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/subscriptions/poll", handler=self.poll,
-            action=Action.READ, resource_type=SUBSCRIPTION_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="drain a subscription's pushed events",
-            rate_limit=POLL_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
-        gateway.register_route(RouteSpec(
-            path="/subscriptions/cancel", handler=self.cancel,
-            action=Action.WRITE, resource_type=SUBSCRIPTION_RESOURCE,
-            scope_kind=ScopeKind.TENANT,
-            description="deactivate a push subscription",
-            rate_limit=CANCEL_RATE_LIMIT, rate_window_s=RATE_WINDOW_S))
+    def tenant_of(self, sub_id: str) -> Optional[str]:
+        subscription = self.registry._subscriptions.get(sub_id)
+        return None if subscription is None else subscription.tenant_id
 
     # -- handlers -------------------------------------------------------------
 
@@ -233,43 +223,27 @@ class SubscriptionApi:
         subscription = self.registry.register(
             tenant_id=context.tenant_id, owner=context.user.user_id,
             criteria=criteria)
-        self._audit(context, subscription.sub_id, "registered",
-                    extra=f"criteria={criteria.to_dict()}")
+        self.audit(context, subscription.sub_id, "registered",
+                   extra=f"criteria={criteria.to_dict()}")
         return subscription.to_dict()
 
     def list(self, context: RequestContext) -> Dict[str, Any]:
         subscriptions = self.registry.for_tenant(context.tenant_id)
-        self._audit(context, "*", "listed")
+        self.audit(context, "*", "listed")
         return {"subscriptions": [s.to_dict() for s in
                                   sorted(subscriptions,
                                          key=lambda s: s.sub_id)]}
 
     def poll(self, context: RequestContext, sub_id: str,
              max_events: Optional[int] = None) -> Dict[str, Any]:
-        subscription = self._owned(context, sub_id)
+        self.require_owned(context, sub_id)
         events = self.registry.poll(sub_id, max_events)
-        self._audit(context, sub_id, "polled",
-                    extra=f"events={len(events)}")
-        return {"sub_id": sub_id, "active": subscription.active,
+        self.audit(context, sub_id, "polled", extra=f"events={len(events)}")
+        return {"sub_id": sub_id, "active": self.registry.get(sub_id).active,
                 "events": events}
 
     def cancel(self, context: RequestContext, sub_id: str) -> Dict[str, Any]:
-        self._owned(context, sub_id)
+        self.require_owned(context, sub_id)
         subscription = self.registry.cancel(sub_id)
-        self._audit(context, sub_id, "cancelled")
+        self.audit(context, sub_id, "cancelled")
         return subscription.to_dict()
-
-    # -- internals ------------------------------------------------------------
-
-    def _owned(self, context: RequestContext,
-               sub_id: str) -> PushSubscription:
-        """Tenant isolation: someone else's subscription looks missing."""
-        subscription = self.registry.get(sub_id)
-        if subscription.tenant_id != context.tenant_id:
-            raise NotFoundError(f"no subscription {sub_id!r}")
-        return subscription
-
-    def _audit(self, context: RequestContext, sub_id: str, verb: str,
-               extra: str = "") -> None:
-        audit_request(self.monitoring, context, f"subscription {sub_id}",
-                      verb, extra)

@@ -561,7 +561,6 @@ class _PerKeyHierarchy(CacheHierarchy):
         for key in all_keys:
             if key in seen:
                 self.coalesced += 1
-                self._metric("cache.coalesced")
             else:
                 seen.add(key)
                 unique.append(key)
@@ -576,7 +575,6 @@ class _PerKeyHierarchy(CacheHierarchy):
             if flight is not None and start < flight.completes_at:
                 self.coalesced += 1
                 coalesced += 1
-                self._metric("cache.coalesced")
                 self.clock.advance_to(flight.completes_at)
                 if flight.not_found:
                     missing.append(key)
@@ -611,7 +609,6 @@ class _PerKeyHierarchy(CacheHierarchy):
                     self.origin.access_cost_s
                     + self.origin.per_item_cost_s * len(remaining))
                 self.origin_loads += len(remaining)
-                self._metric("cache.origin_loads", len(remaining))
                 self._publish("origin_fetch", origin=self.origin.name,
                               keys=len(remaining))
                 loaded = self.origin.load_many(remaining)

@@ -131,8 +131,7 @@ class TestCancellation:
             scheduler.result(job.job_id)
 
     def test_cancel_half_finished_graph(self):
-        scheduler, *_ = make_world(min_workers=1, max_workers=1,
-                                   autoscale=False)
+        scheduler, *_ = make_world(min_workers=1, max_workers=1)
         job = scheduler.submit(fan_out(6))
         # Step until some (not all) tasks have finished, then cancel.
         while not any(s is TaskState.SUCCEEDED
@@ -191,8 +190,7 @@ class TestOneLiveJob:
 
 class TestPlacementAndScaling:
     def test_locality_prefers_node_holding_largest_input(self):
-        scheduler, *_ = make_world(min_workers=2, max_workers=2,
-                                   autoscale=False)
+        scheduler, *_ = make_world(min_workers=2, max_workers=2)
         g = TaskGraph("local")
         g.add_task("big", lambda ins: "big", cost_s=0.01,
                    output_bytes=10_000_000)
@@ -246,7 +244,7 @@ class TestPlacementAndScaling:
         makespans = {}
         for workers in (1, 8):
             scheduler, *_ = make_world(min_workers=workers,
-                                       max_workers=workers, autoscale=False)
+                                       max_workers=workers)
             job = scheduler.submit(fan_out(64))
             scheduler.run(job.job_id)
             assert job.state is JobState.SUCCEEDED
@@ -257,7 +255,7 @@ class TestPlacementAndScaling:
 class TestFaults:
     def crash_world(self, idempotent=True, crash_all=False):
         scheduler, clock, monitoring, plane, tracer, fault_plan = make_world(
-            min_workers=4, max_workers=4, autoscale=False)
+            min_workers=4, max_workers=4)
         g = fan_out(16, cost_s=0.1)
         if not idempotent:
             g = TaskGraph("fragile")

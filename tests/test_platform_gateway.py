@@ -107,3 +107,70 @@ class TestPlatformGateway:
             org_id=context.default_org.org_id,
             env_id=context.default_env.env_id))
         assert response.status == 403
+
+
+class TestIngestionStatusIsolation:
+    """An ingestion job belongs to the tenant that owns its group; any
+    other tenant's poll reads exactly like a poll of an unknown id."""
+
+    @pytest.fixture
+    def two_tenants(self, gateway_world):
+        from repro.fhir import Bundle, Patient
+        from repro.ingestion import encrypt_bundle_for_upload
+        platform, acme, gateway, idp = gateway_world
+        globex = platform.register_tenant("globex")
+        user = platform.rbac.register_user(globex.tenant.tenant_id, "ops")
+        platform.rbac.define_role("globex-operator", [Permission(
+            Action.READ, "platform-status",
+            Scope(ScopeKind.TENANT, globex.tenant.tenant_id))])
+        platform.rbac.bind_role(user.user_id, globex.default_org.org_id,
+                                globex.default_env.env_id,
+                                "globex-operator")
+        platform.federation.link_identity("hospital-idp", "ops@globex",
+                                          user.user_id)
+        group = platform.rbac.create_group(acme.tenant.tenant_id, "g")
+        registration = platform.ingestion.register_client("c")
+        bundle = Bundle(id="b").add(
+            Patient(id="pt-secret-42", name={"family": "X"},
+                    birthDate="1980-01-01", gender="male"))
+        job = platform.ingestion.upload(
+            "c", encrypt_bundle_for_upload(bundle, registration),
+            group.group_id)
+        platform.run_ingestion()          # rejected: no consent
+
+        def poll(tenant, login, job_id):
+            return gateway.dispatch(ApiRequest(
+                path="/ingestion/status", token=idp.issue_token(login),
+                scope_entity_id=tenant.tenant.tenant_id,
+                org_id=tenant.default_org.org_id,
+                env_id=tenant.default_env.env_id,
+                params={"job_id": job_id}))
+
+        return platform, acme, globex, job, registration, bundle, poll
+
+    def test_owner_reads_its_job(self, two_tenants):
+        _, acme, _, job, *_, poll = two_tenants
+        response = poll(acme, "ops@acme", job.job_id)
+        assert response.status == 200
+        assert response.body["status"] == "rejected"
+        assert "pt-secret-42" in response.body["reason"]
+
+    def test_foreign_job_reads_like_an_unknown_one(self, two_tenants):
+        _, _, globex, job, *_, poll = two_tenants
+        foreign = poll(globex, "ops@globex", job.job_id)
+        unknown = poll(globex, "ops@globex", "job-9999999")
+        assert foreign.status == unknown.status == 404
+        assert foreign.body == {"error": f"no ingestion job {job.job_id!r}"}
+        assert unknown.body == {"error": "no ingestion job 'job-9999999'"}
+
+    def test_job_whose_group_has_no_tenant_reads_as_unknown(
+            self, two_tenants):
+        from repro.ingestion import encrypt_bundle_for_upload
+        platform, acme, _, _, registration, bundle, poll = two_tenants
+        orphan = platform.ingestion.upload(
+            "c", encrypt_bundle_for_upload(bundle, registration),
+            "group-unregistered")
+        response = poll(acme, "ops@acme", orphan.job_id)
+        assert response.status == 404
+        assert response.body == {
+            "error": f"no ingestion job {orphan.job_id!r}"}

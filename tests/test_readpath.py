@@ -249,11 +249,13 @@ class TestHitRatioAccounting:
         with pytest.raises(NotFoundError):
             hierarchy.get("missing-x")
         hierarchy.get_many(["a", "b"])
-        counter = monitoring.metrics.counter
-        assert counter("cache.coalesced") == 1
-        assert counter("cache.negative_hits") == 1
-        assert counter("cache.batched_lookups") == 1
-        assert counter("cache.origin_loads") == 4   # hot, missing-x, a, b
+        hierarchy.publish_metrics()
+        gauge = monitoring.metrics.gauge
+        assert gauge("cache.hierarchy.coalesced") == 1
+        assert gauge("cache.hierarchy.negative_hits") == 1
+        assert gauge("cache.hierarchy.batched_lookups") == 1
+        # hot, missing-x, a, b
+        assert gauge("cache.hierarchy.origin_loads") == 4
 
     def test_publish_metrics_gauges(self):
         clock = SimClock()

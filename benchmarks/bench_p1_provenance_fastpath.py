@@ -8,7 +8,8 @@ fixes head-on:
 * sweep the ingestion provenance batch size over {1, 4, 16, 64} and show
   the per-event endorsement cost collapsing into one Merkle-batched
   transaction per flush;
-* CRT (Garner) private-key operations against the schoolbook baseline at
+* three-prime CRT private-key operations (three third-size exponentiations
+  and a two-step Garner recombination) against the schoolbook baseline at
   the platform's 1024-bit key size.
 
 Standalone mode for CI::
@@ -185,7 +186,7 @@ def test_p1_crt_private_key_speedup(benchmark):
                        / timings["decrypt_crt_s"])
     benchmark.extra_info["sign_speedup_x"] = sign_speedup
     benchmark.extra_info["decrypt_speedup_x"] = decrypt_speedup
-    show("P1: CRT vs schoolbook RSA (1024-bit, best-of-40)",
+    show("P1: three-prime CRT vs schoolbook RSA (1024-bit, best-of-40)",
          [f"sign:    {timings['sign_schoolbook_s'] * 1e3:.2f} ms -> "
           f"{timings['sign_crt_s'] * 1e3:.2f} ms ({sign_speedup:.2f}x)",
           f"decrypt: {timings['decrypt_schoolbook_s'] * 1e3:.2f} ms -> "

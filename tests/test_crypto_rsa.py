@@ -1,5 +1,6 @@
 """Tests for the from-scratch RSA and hybrid envelope encryption."""
 
+import builtins
 import math
 
 import pytest
@@ -65,7 +66,7 @@ class TestKeygen:
     def test_unseeded_key_signs_and_verifies(self):
         key = generate_keypair(bits=512)
         assert key.n.bit_length() == 512
-        assert _is_probable_prime(key.p) and _is_probable_prime(key.q)
+        assert all(_is_probable_prime(f) for f in (key.p, key.q, key.r))
         signature = rsa_sign(key, b"unseeded")
         assert rsa_verify(key.public_key(), b"unseeded", signature)
 
@@ -77,32 +78,38 @@ class TestKeygen:
 
 def _oracle_random_prime(bits, rand):
     while True:
-        candidate = rand.getrandbits(bits) | (1 << (bits - 1)) | 1
+        candidate = rand.getrandbits(bits) | (3 << (bits - 2)) | 1
         if _is_probable_prime(candidate, randbelow=rand.randbelow):
             return candidate
 
 
 def _oracle_keypair(bits, seed):
-    """The search without sieve or deferred rounds, as ``(n, e, d, p, q)``.
+    """The search without sieve or deferred rounds, as ``(n, e, d, p, q, r)``.
 
-    Every candidate runs its Miller-Rabin rounds as soon as it is drawn, so
-    this is the reference the faster search must match key for key.
+    The three primes are drawn in order, and every candidate runs its
+    Miller-Rabin rounds as soon as it is drawn, so this is the reference
+    the faster search must match key for key.
     """
     rand = _DeterministicRand(seed)
     e = 65537
     while True:
-        p = _oracle_random_prime(bits // 2, rand)
-        q = _oracle_random_prime(bits // 2, rand)
-        if p == q:
+        p = _oracle_random_prime(bits - 2 * (bits // 3), rand)
+        q = _oracle_random_prime(bits // 3, rand)
+        r = _oracle_random_prime(bits // 3, rand)
+        if len({p, q, r}) < 3:
             continue
-        phi = (p - 1) * (q - 1)
-        if phi % e == 0:
+        phi = (p - 1) * (q - 1) * (r - 1)
+        if math.gcd(phi, e) != 1:
             continue
-        n = p * q
-        if n.bit_length() < bits:
+        n = p * q * r
+        if n.bit_length() != bits:
             continue
         d = pow(e, -1, phi)
-        return (n, e, d, p, q)
+        return (n, e, d, p, q, r)
+
+
+def _key_tuple(key):
+    return (key.n, key.e, key.d, key.p, key.q, key.r)
 
 
 class TestSearchOracle:
@@ -112,9 +119,8 @@ class TestSearchOracle:
             # The unmemoized search: 450 keys would evict the memoized
             # ones the rest of the suite shares.
             key = rsa._generate_keypair(bits, seed)
-            assert (key.n, key.e, key.d, key.p, key.q) == \
-                _oracle_keypair(bits, seed), seed
-            assert _is_probable_prime(key.p) and _is_probable_prime(key.q)
+            assert _key_tuple(key) == _oracle_keypair(bits, seed), seed
+            assert all(_is_probable_prime(f) for f in (key.p, key.q, key.r))
 
     def test_matches_plain_search_on_msp_seeds(self):
         # consortium_msp(seed=1), which every channel of a seed-1 network
@@ -129,9 +135,42 @@ class TestSearchOracle:
             key = generate_keypair(bits=1024,
                                    seed=msp_seed * 65_537 + counter)
             assert msp.identity(member_id).public_key == key.public_key()
-            assert (key.n, key.e, key.d, key.p, key.q) == \
+            assert _key_tuple(key) == \
                 _oracle_keypair(1024, msp_seed * 65_537 + counter)
-            assert _is_probable_prime(key.p) and _is_probable_prime(key.q)
+            assert all(_is_probable_prime(f) for f in (key.p, key.q, key.r))
+
+
+class TestThreePrimeKeys:
+    @pytest.mark.parametrize("bits", [256, 512, 1024])
+    def test_structure(self, bits):
+        sizes = (bits - 2 * (bits // 3), bits // 3, bits // 3)
+        for seed in range(5):
+            key = generate_keypair(bits=bits, seed=8100 + seed)
+            factors = (key.p, key.q, key.r)
+            assert key.n == key.p * key.q * key.r
+            assert key.n.bit_length() == bits
+            assert len(set(factors)) == 3
+            for factor, size in zip(factors, sizes):
+                assert factor.bit_length() == size
+                assert factor >> (size - 2) == 0b11
+                assert _is_probable_prime(factor)
+            lam = math.lcm(key.p - 1, key.q - 1, key.r - 1)
+            assert key.e * key.d % lam == 1
+
+    @pytest.mark.parametrize("bits", [512, 1024])
+    def test_private_op_runs_three_third_size_pows(self, monkeypatch, bits):
+        key = generate_keypair(bits=bits, seed=8100)
+        value = int.from_bytes(b"three primes" * 12, "big") % key.n
+        moduli = []
+
+        def spy(base, exponent, modulus=None):
+            moduli.append(modulus)
+            return builtins.pow(base, exponent, modulus)
+
+        monkeypatch.setattr(rsa, "pow", spy, raising=False)
+        assert key.private_op(value) == builtins.pow(value, key.d, key.n)
+        assert len(moduli) == 3
+        assert all(m.bit_length() <= bits // 3 + 2 for m in moduli)
 
 
 class _ScriptedRand:
@@ -151,15 +190,17 @@ class _ScriptedRand:
 
 class TestDeferredRounds:
     # FACTOR is 3 mod 4 and both FACTOR and 2 * FACTOR - 1 are prime, so
-    # their 128-bit product is a strong pseudoprime to about a quarter of
-    # all bases; both factors lie above the sieve's 16381.
-    FACTOR = 0xB333333333333B7B
+    # their product is a strong pseudoprime to about a quarter of all
+    # bases; both factors lie above the sieve's 16381.  The product is an
+    # 86-bit number with its top two bits set, a candidate for the first
+    # prime of a 256-bit key.
+    FACTOR = 0x4E6238506A3
 
     def test_composite_passing_round_one_is_never_returned(self,
                                                             monkeypatch):
         small, large = self.FACTOR, 2 * self.FACTOR - 1
         composite = small * large
-        assert composite.bit_length() == 128
+        assert composite.bit_length() == 86 and composite >> 84 == 0b11
         assert _is_probable_prime(small) and _is_probable_prime(large)
         assert math.gcd(composite, rsa._SIEVE_PRODUCT) == 1
         liar = next(a for a in range(2, 100)
@@ -179,11 +220,12 @@ class TestDeferredRounds:
 
         monkeypatch.setattr(rsa, "_passes_miller_rabin", spy)
         key = rsa._generate_keypair(256, 0)
-        # It passed round 1 and the pair checks, then a deferred round
+        # It passed round 1 and the triple checks, then a deferred round
         # found a witness.
         assert composite in witnessed
-        assert not {composite, small, large} & {key.n, key.p, key.q}
-        assert _is_probable_prime(key.p) and _is_probable_prime(key.q)
+        factors = {key.p, key.q, key.r}
+        assert not {composite, small, large} & (factors | {key.n})
+        assert all(_is_probable_prime(f) for f in factors)
 
 
 class TestEncryption:

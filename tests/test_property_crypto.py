@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from repro.crypto.merkle import MerkleTree, verify_proof
 from repro.crypto.redactable import (
@@ -54,18 +54,28 @@ class TestAeadProperties:
             ciphertext.to_bytes()
 
 
+_KEY_1024 = CRT_KEYPAIRS[2]
+
+
 class TestCrtRsaProperties:
     """The CRT fast path must be indistinguishable from schoolbook RSA."""
 
-    @given(value=st.integers(min_value=2, max_value=2**500),
+    @given(value=st.integers(min_value=0, max_value=2**1024),
            key_index=st.integers(0, len(CRT_KEYPAIRS) - 1))
+    @example(value=0, key_index=2)
+    @example(value=1, key_index=2)
+    @example(value=_KEY_1024.n - 1, key_index=2)
+    @example(value=_KEY_1024.p * 3, key_index=2)
+    @example(value=_KEY_1024.q * 5, key_index=2)
+    @example(value=_KEY_1024.r * 7, key_index=2)
     @settings(deadline=None, max_examples=60,
               suppress_health_check=[HealthCheck.too_slow])
     def test_private_op_matches_schoolbook(self, value, key_index):
+        # Every value in [0, n), a multiple of each prime included: the
+        # residue the CRT takes modulo that prime is 0.
         keypair = CRT_KEYPAIRS[key_index]
         value %= keypair.n
-        assert keypair.private_op(value, use_crt=True) == \
-            keypair.private_op(value, use_crt=False)
+        assert keypair.private_op(value) == pow(value, keypair.d, keypair.n)
 
     @given(message=st.binary(min_size=1, max_size=48),
            key_index=st.integers(0, len(CRT_KEYPAIRS) - 1))

@@ -33,19 +33,19 @@ GOLDEN = {
     "standard": (
         "eb791a960bbc5ef7aa911c62cf8781d5ce403f25de0ca7f69d2155984bd2f0de",
         "9451ad2799ebf20d8a64623e9fb0f644f3e8d66bb2ba12c66978641c9a4e46be",
-        "45ee22af15ddc6ee6a3f91dc613dd07da63c8dd8f3f90cb53b91b5007cd45760"),
+        "0caf9273745dec1f6c4823ddc971bfaa9f9518a9029ce68dabf1c85d69671391"),
     "shard-00": (
         "d11ac884ac4ef0a4e2dc53e50bca6099f8d44859f18a673063dabfb6737fb06e",
         "ee0dffbfc7842b27ce9783646ec569c891964666b4855dddf155e72fab9ad6e2",
-        "6c0266cbbe8ec5b735de8c3d1fa9da95d569233e07cd8ccfdc8e364a1c78411f"),
+        "f910ee182a0ff2178ceb0115bca727bbb8f458597308254ba5065be615fd9aa4"),
     "shard-01": (
         "0e47ad2867632c9567e1c6658ec10115b879c4d33d135fd6f977926d9e7d79ec",
         "0aa68dc414e7588b24cab6ba85b80ac0d969ca2345bc3af16818c4890a4c4a69",
-        "a3c1eb6d2403c0e5756f5ebe06bb5569864bb7c57bae5dd35d247323cea42b19"),
+        "07c9bb2633f30bdfc2d71071f4dd6858b3c385a83d6366b934c5e39200c892c5"),
     "platform": (
         "221618de53454bed990c6186b4e7633b9553c1676574ab9c5dfe128b448cbf39",
         "4195419fc258c8af0aa3fd824168a369e0e1f7a7a3e6c16d42a98f5bb3cf75d1",
-        "bceeec5ec518b8ff54343536d74ba698a3eed4a765d69d1f6284424241199d57"),
+        "1c90b890a8a4edc9c7e79d2adeb90502e1cff3643c5502d8016883e17607aefd"),
 }
 
 

@@ -92,13 +92,10 @@ def _world(n_institutions, mode, chaos=False):
         institutions[0].fault_plan = plan
     network = ShardedBlockchainNetwork(2, seed=SEED, clock=clock,
                                        monitoring=monitoring)
-    network.tracer = tracer
-    scheduler = standard_scheduler(clock=clock, monitoring=monitoring,
-                                   tracer=tracer)
+    scheduler = standard_scheduler(clock=clock, monitoring=monitoring)
     service = FederatedStudyService(
         clock=clock, network=network, scheduler=scheduler,
-        institutions=institutions, monitoring=monitoring, tracer=tracer,
-        seed=SEED,
+        institutions=institutions, monitoring=monitoring, seed=SEED,
         delt_config=DeltStudyConfig(
             n_drugs=N_DRUGS, max_iterations=DELT_ITERATIONS[mode]))
     return service, institutions, network, tracer

@@ -98,9 +98,8 @@ def _world(traced=True, faulted=False):
     executor = ResilientExecutor(
         ResiliencePolicy(timeout_s=5.0, max_attempts=3, jitter=0.0,
                          breaker_failure_threshold=1000, seed=SEED),
-        clock=clock, monitoring=monitoring, tracer=tracer)
+        clock=clock, monitoring=monitoring)
     remote = RemoteKnowledgeBase(_TermKb(), clock, resilience=executor)
-    remote.tracer = tracer
     if faulted:
         plan = FaultPlan(seed=SEED, clock=clock)
         plan.drop_link("cloud-a", "external-kb", drop_rate=DROP_RATE)
@@ -110,14 +109,13 @@ def _world(traced=True, faulted=False):
         [CacheLevel("client", make_cache("lru", 128), CLIENT_COST)],
         Origin("kb-origin", loader=lambda key: remote.call("lookup", key),
                access_cost_s=0.0),
-        clock=clock, monitoring=monitoring, tracer=tracer)
+        clock=clock, monitoring=monitoring)
 
     net = standard_network(seed=SEED, batch_size=1, clock=clock,
                            monitoring=monitoring)
-    net.tracer = tracer
 
     gateway = ApiGateway(rbac, federation, monitoring=monitoring,
-                         clock=clock, rate_limit=10 ** 9, tracer=tracer)
+                         clock=clock, rate_limit=10 ** 9)
 
     batch_ids = itertools.count(1)
 

@@ -68,8 +68,6 @@ def _ingest(n_shards, n_events, traced=False):
     net = ShardedBlockchainNetwork(n_shards, seed=SEED, batch_size=8,
                                    clock=clock)
     tracer = Tracer(clock) if traced else None
-    if tracer is not None:
-        net.tracer = tracer
     frontend = ShardedIngestionFrontend(net,
                                         events_per_batch=EVENTS_PER_BATCH)
     keys = zipf_trace(N_KEYS, n_events, skew=ZIPF_SKEW, seed=SEED)

@@ -85,8 +85,9 @@ def _world(workers):
     plane = HealthPlane(monitoring)
     fault_plan = FaultPlan(seed=SEED, clock=clock)
     scheduler = standard_scheduler(
-        clock=clock, monitoring=monitoring, fault_plan=fault_plan,
+        clock=clock, monitoring=monitoring,
         min_workers=workers, max_workers=workers)
+    scheduler.fault_plan = fault_plan
     return scheduler, clock, plane, fault_plan
 
 
@@ -136,8 +137,8 @@ def _recovery(n_tasks):
     fault_plan.crash_node("compute-host-00", start_s=CRASH_START_S,
                           end_s=CRASH_END_S)
     scheduler = standard_scheduler(
-        clock=clock, monitoring=monitoring, tracer=tracer,
-        fault_plan=fault_plan, min_workers=4, max_workers=4)
+        clock=clock, monitoring=monitoring, min_workers=4, max_workers=4)
+    scheduler.fault_plan = fault_plan
     job = scheduler.submit(_similarity_graph(n_tasks),
                            submitted_by="bench-p8")
     scheduler.run(job.job_id)

@@ -128,7 +128,6 @@ def _sustained(run_seconds):
         policy_factory=lambda name: AdaptiveShedPolicy(seed=SEED),
         push_slo_threshold_s=PUSH_P99_SLO_S)
     tracer = Tracer(network.clock)
-    pipeline.tracer = tracer
     plan = FaultPlan(seed=SEED, clock=network.clock)
     plan.drop_link("stream-worker", "orderer", LINK_DROP_RATE,
                    start_s=0.0, end_s=run_seconds)

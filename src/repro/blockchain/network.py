@@ -306,7 +306,6 @@ class BlockchainNetwork:
         # admitted under the reduced quorum, or it re-validates them with
         # the full policy, skips them, and diverges.
         self._degraded_committed: set = set()
-        self.tracer = None   # optional request-path tracing hook
         # Sharded deployments name each channel: its transactions carry
         # the name, and its spans are tagged with it.
         self.channel_name: Optional[str] = None
@@ -381,7 +380,7 @@ class BlockchainNetwork:
         orgs: List[List[str]] = [[] for _ in txs]
         first_tx_number = self._tx_counter - len(txs) + 1
         short = list(range(len(txs)))  # transactions short of the policy
-        with maybe_span(self.tracer, "blockchain.endorse_batch",
+        with maybe_span(self.clock.tracer, "blockchain.endorse_batch",
                         "blockchain", transactions=len(txs),
                         **self.span_tags) as span:
             for peer in self._endorsement_order(first_tx_number):
@@ -476,7 +475,7 @@ class BlockchainNetwork:
     def flush(self) -> List[Block]:
         """Cut and commit every pending block (the last may be partial)."""
         committed: List[Block] = []
-        with maybe_span(self.tracer, "blockchain.commit", "blockchain",
+        with maybe_span(self.clock.tracer, "blockchain.commit", "blockchain",
                         **self.span_tags) as span:
             while True:
                 reference = self.peers[0].ledger if self.peers else None

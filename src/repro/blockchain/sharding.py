@@ -184,7 +184,6 @@ class ShardedBlockchainNetwork:
             self.monitoring.metrics.register_gauge(
                 f"blockchain.{self.shard_name(shard)}.pending",
                 lambda orderer=channel.orderer: orderer.pending_count)
-        self._tracer = None
 
     @staticmethod
     def shard_name(shard: int) -> str:
@@ -193,16 +192,6 @@ class ShardedBlockchainNetwork:
     @property
     def n_shards(self) -> int:
         return len(self.channels)
-
-    @property
-    def tracer(self):
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._tracer = tracer
-        for channel in self.channels:
-            channel.tracer = tracer
 
     def channel_for(self, routing_key: str) -> BlockchainNetwork:
         return self.channels[self.router.shard_for(routing_key)]
@@ -247,7 +236,7 @@ class ShardedBlockchainNetwork:
             assignment.setdefault(shard, []).append(request)
         shard_reports: Dict[str, PipelineReport] = {}
         makespans: List[float] = []
-        with maybe_span(self.tracer, "blockchain.sharded_ingest",
+        with maybe_span(self.clock.tracer, "blockchain.sharded_ingest",
                         "blockchain", shards=len(assignment),
                         transactions=len(keyed)) as span:
             for shard in sorted(assignment):

@@ -33,7 +33,7 @@ from typing import (Any, Callable, Dict, Generic, Hashable, Iterable, List,
 from ..core.errors import ConfigurationError, NotFoundError
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import Tracer, maybe_span
+from ..cloudsim.tracing import maybe_span
 from .policies import Cache, CacheStats
 
 K = TypeVar("K", bound=Hashable)
@@ -134,8 +134,7 @@ class CacheHierarchy(Generic[K, V]):
     def __init__(self, levels: List[CacheLevel], origin: Origin,
                  clock: Optional[SimClock] = None,
                  negative_ttl_s: float = 0.0,
-                 monitoring: Optional[MonitoringService] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 monitoring: Optional[MonitoringService] = None) -> None:
         if not levels:
             raise ConfigurationError("hierarchy needs at least one level")
         if negative_ttl_s < 0:
@@ -145,7 +144,6 @@ class CacheHierarchy(Generic[K, V]):
         self.clock = clock if clock is not None else SimClock()
         self.negative_ttl_s = negative_ttl_s
         self.monitoring = monitoring
-        self.tracer = tracer
         self._inflight: Dict[K, _Flight] = {}
         self._negative: Dict[K, float] = {}     # key -> expiry time
         # Hierarchy-level accounting: get_many and coalesced requests do
@@ -172,7 +170,7 @@ class CacheHierarchy(Generic[K, V]):
             self.clock.advance_to(start)
         self.requests += 1
 
-        with maybe_span(self.tracer, "cache.get", "cache",
+        with maybe_span(self.clock.tracer, "cache.get", "cache",
                         key=str(key)) as span:
             joined = self._join_flight(key, start)
             if joined is not None:
@@ -201,7 +199,7 @@ class CacheHierarchy(Generic[K, V]):
 
             span.set_attribute("served_by", self.origin.name)
             span.set_attribute("levels_probed", probed)
-            with maybe_span(self.tracer, "cache.origin_fetch", "cache",
+            with maybe_span(self.clock.tracer, "cache.origin_fetch", "cache",
                             origin=self.origin.name, keys=1):
                 self.clock.advance(self.origin.access_cost_s
                                    + self.origin.per_item_cost_s)
@@ -236,7 +234,7 @@ class CacheHierarchy(Generic[K, V]):
         all_keys = list(keys)
         self.batched_lookups += 1
         self.requests += len(all_keys)
-        with maybe_span(self.tracer, "cache.get_many", "cache",
+        with maybe_span(self.clock.tracer, "cache.get_many", "cache",
                         keys=len(all_keys)) as span:
             result = self._get_many(all_keys, start)
             span.set_attribute("origin_keys", result.origin_keys)
@@ -295,7 +293,7 @@ class CacheHierarchy(Generic[K, V]):
 
         origin_keys = len(remaining)
         if remaining:
-            with maybe_span(self.tracer, "cache.origin_fetch", "cache",
+            with maybe_span(self.clock.tracer, "cache.origin_fetch", "cache",
                             origin=self.origin.name, keys=len(remaining)):
                 self.clock.advance(
                     self.origin.access_cost_s

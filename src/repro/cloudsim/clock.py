@@ -16,6 +16,9 @@ class SimClock:
         if start < 0:
             raise ValueError("clock cannot start before t=0")
         self._now = float(start)
+        # The one Tracer built on this clock, set by ``Tracer(clock)``;
+        # every component that holds the clock spans under it.
+        self.tracer = None
 
     @property
     def now(self) -> float:

@@ -13,9 +13,9 @@
   frontend, compute scheduler) publish lifecycle events through
   :meth:`~repro.cloudsim.monitoring.MonitoringService.publish`, which
   does nothing until a plane attaches — the same optional pattern as
-  the tracer and the fault plan.  The gateway and the sharded ingest
-  call :meth:`observe_request` and :meth:`observe_shard_commit`, which
-  also feed series and accounting;
+  the fault plan and the clock's tracer.  The gateway and the sharded
+  ingest call :meth:`observe_request` and :meth:`observe_shard_commit`,
+  which also feed series and accounting;
 * :meth:`observe_request` is the gateway's one-call instrumentation
   point: labeled latency series, good/bad SLO counters, per-tenant and
   per-route accounting, and an ``api.request`` stream event;

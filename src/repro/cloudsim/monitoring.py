@@ -209,6 +209,24 @@ def nearest_rank(sorted_values: List[float], p: float) -> float:
     return sorted_values[min(n - 1, max(0, math.ceil(p * n) - 1))]
 
 
+def summarize(values: Iterable[float]) -> Dict[str, float]:
+    """count/mean/min/max/p50/p95/p99 of samples, with
+    :func:`nearest_rank` percentiles; ``{"count": 0}`` for none."""
+    ordered = sorted(values)
+    if not ordered:
+        return {"count": 0}
+    n = len(ordered)
+    return {
+        "count": n,
+        "mean": sum(ordered) / n,
+        "min": ordered[0],
+        "max": ordered[-1],
+        "p50": nearest_rank(ordered, 0.50),
+        "p95": nearest_rank(ordered, 0.95),
+        "p99": nearest_rank(ordered, 0.99),
+    }
+
+
 class MetricsRegistry:
     """Counters, gauges, and latency histograms for platform services."""
 
@@ -281,21 +299,8 @@ class MetricsRegistry:
         return {"value": record[0], "trace_id": record[1]}
 
     def summary(self, name: str) -> Dict[str, float]:
-        """count/mean/min/max/p50/p95/p99 for a histogram, with
-        :func:`nearest_rank` percentiles."""
-        values = sorted(self._histograms.get(name, []))
-        if not values:
-            return {"count": 0}
-        n = len(values)
-        return {
-            "count": n,
-            "mean": sum(values) / n,
-            "min": values[0],
-            "max": values[-1],
-            "p50": nearest_rank(values, 0.50),
-            "p95": nearest_rank(values, 0.95),
-            "p99": nearest_rank(values, 0.99),
-        }
+        """:func:`summarize` over a histogram's samples."""
+        return summarize(self._histograms.get(name, []))
 
     def histogram_values(self, name: str) -> List[float]:
         return list(self._histograms.get(name, []))
@@ -310,7 +315,7 @@ class MonitoringService:
         self.metrics = MetricsRegistry()
         # Optional health control plane (repro.cloudsim.healthplane),
         # set when a HealthPlane attaches; None by default, like the
-        # tracer and fault_plan hooks.
+        # fault_plan hooks and the clock's tracer.
         self.healthplane: Optional[Any] = None
 
     def log(self, stream: str, message: str, level: str = "INFO",

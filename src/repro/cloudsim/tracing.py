@@ -13,10 +13,14 @@ Design constraints, in order:
 * **Zero simulated latency.** The tracer only ever *reads* ``clock.now``;
   it never advances the clock.  Simulated latencies with tracing enabled
   are bit-identical to tracing disabled (the P5 bench asserts this).
-* **Near-zero cost when disabled.** Components hold an optional
-  ``tracer`` attribute (``None`` by default, like the chaos layer's
-  ``fault_plan`` hooks); :func:`maybe_span` returns one shared no-op
-  context manager when no tracer is bound.
+* **One attachment point.** ``Tracer(clock)`` sets ``clock.tracer``, and
+  every component with a span site reads ``self.clock.tracer``, so one
+  tracer covers every component that shares the clock.  A clock holds
+  at most one tracer; a second raises
+  :class:`~repro.core.errors.ConfigurationError`.
+* **Near-zero cost when disabled.** ``clock.tracer`` is ``None`` on an
+  untraced clock, and :func:`maybe_span` then returns one shared no-op
+  context manager.
 * **Tamper evidence.** When a trace finishes, every span is sealed with
   a hash over its own fields plus its children's hashes (Merkle-style,
   bottom-up), so the root hash commits to the whole tree — the property
@@ -41,10 +45,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..core.errors import IntegrityError, NotFoundError
+from ..core.errors import ConfigurationError, IntegrityError, NotFoundError
 from .clock import SimClock
 
 GENESIS_HASH = "0" * 64
+
+# Finished traces a tracer keeps; the oldest is dropped past this.
+MAX_TRACES = 10_000
 
 
 @dataclass(frozen=True)
@@ -257,7 +264,8 @@ def maybe_span(tracer: Optional["Tracer"], name: str, layer: str,
                **attributes: Any) -> Any:
     """A span under ``tracer``, or the shared no-op when tracing is off.
 
-    The single hook components call; ``tracer is None`` costs one
+    The single hook components call, as
+    ``maybe_span(self.clock.tracer, ...)``; ``tracer is None`` costs one
     comparison and no allocation.
     """
     if tracer is None:
@@ -268,16 +276,19 @@ def maybe_span(tracer: Optional["Tracer"], name: str, layer: str,
 class Tracer:
     """Builds, stores, seals, and analyses span trees on a SimClock.
 
+    Building one attaches it to its clock (``clock.tracer``); a clock
+    that already has a tracer raises :class:`ConfigurationError`.
     A span started while another is active becomes its child; a span
     started with no active span roots a new trace.  Finished traces are
-    kept (bounded by ``max_traces``, oldest dropped) for critical-path
-    analysis, export, and exemplar resolution.
+    kept (bounded by :data:`MAX_TRACES`, oldest dropped) for
+    critical-path analysis, export, and exemplar resolution.
     """
 
-    def __init__(self, clock: Optional[SimClock] = None,
-                 max_traces: int = 10_000) -> None:
+    def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
-        self.max_traces = max_traces
+        if self.clock.tracer is not None:
+            raise ConfigurationError("this clock already has a tracer")
+        self.clock.tracer = self
         self._stack: List[Span] = []
         self._traces: Dict[str, Span] = {}      # finished, oldest first
         self._trace_counter = 0
@@ -322,7 +333,7 @@ class Tracer:
         if span.parent_id is None:
             _seal(span)
             self._traces[span.trace_id] = span
-            if len(self._traces) > self.max_traces:
+            if len(self._traces) > MAX_TRACES:
                 del self._traces[next(iter(self._traces))]
 
     # -- lookup --------------------------------------------------------------
@@ -400,10 +411,3 @@ class Tracer:
         return json.dumps(self.get_trace(trace_id).to_dict(),
                           sort_keys=True, separators=(",", ":"),
                           default=str)
-
-    # -- wiring --------------------------------------------------------------
-
-    def bind(self, *components: Any) -> None:
-        """Attach this tracer to every component's ``tracer`` hook."""
-        for component in components:
-            component.tracer = self

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from ..blockchain.audit import AuditorView
 from ..cloudsim.monitoring import MonitoringService
 from ..core.errors import IntegrityError
-from ..rbac.engine import RbacEngine
+from ..rbac.engine import AccessDecision, RbacEngine
 
 
 @dataclass
@@ -62,19 +62,34 @@ class AuditService:
         return [f"[{e.timestamp:.3f}] {e.stream}/{e.level}: {e.message}"
                 for e in entries]
 
-    def activity_by_actor(self) -> Dict[str, int]:
-        """RBAC decision counts per user (the "users need to be audited")."""
+    def _decisions(self, tenant_id: Optional[str]
+                   ) -> List[AccessDecision]:
+        """The RBAC decision log, or only its ``tenant_id`` users' part."""
         if self.rbac is None:
-            return {}
+            return []
+        log = self.rbac.decision_log()
+        if tenant_id is None:
+            return log
+        users = self.rbac.users
+        return [d for d in log if users[d.user_id].tenant_id == tenant_id]
+
+    def activity_by_actor(self, tenant_id: Optional[str] = None
+                          ) -> Dict[str, int]:
+        """RBAC decision counts per user (the "users need to be audited")."""
         counts: Dict[str, int] = {}
-        for decision in self.rbac.decision_log():
+        for decision in self._decisions(tenant_id):
             counts[decision.user_id] = counts.get(decision.user_id, 0) + 1
         return counts
 
     # -- the audit pass ----------------------------------------------------------
 
-    def run_audit(self, denial_ratio_threshold: float = 0.5) -> AuditReport:
-        """Verify every integrity chain and flag anomalies."""
+    def run_audit(self, denial_ratio_threshold: float = 0.5,
+                  tenant_id: Optional[str] = None) -> AuditReport:
+        """Verify every integrity chain and flag anomalies.
+
+        With ``tenant_id``, the access figures count only that tenant's
+        users' decisions; the integrity checks stay platform-wide.
+        """
         findings: List[str] = []
         try:
             chain_valid = self.monitoring.logs.verify_chain()
@@ -95,7 +110,7 @@ class AuditService:
                 ledger_valid = False
                 findings.append(f"ledger verification error: {exc}")
 
-        decisions = self.rbac.decision_log() if self.rbac is not None else []
+        decisions = self._decisions(tenant_id)
         denials = [d for d in decisions if not d.allowed]
         denial_ratio = len(denials) / len(decisions) if decisions else 0.0
         if decisions and denial_ratio > denial_ratio_threshold:
@@ -110,6 +125,6 @@ class AuditService:
             access_checks=len(decisions),
             access_denials=len(denials),
             denial_ratio=denial_ratio,
-            actors=self.activity_by_actor(),
+            actors=self.activity_by_actor(tenant_id),
             findings=findings,
         )

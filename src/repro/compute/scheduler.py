@@ -31,7 +31,7 @@ Scheduling properties:
   objects are recomputed by re-running their producer tasks (idempotent
   ones re-run on surviving nodes; a non-idempotent replay fails the job
   with :class:`~repro.core.errors.NonIdempotentReplayError`);
-* **attribution** — when a tracer is bound, every attempt contributes a
+* **attribution** — on a traced clock, every attempt contributes a
   span tiled into queue/scheduling/transfer/execution children under the
   job's root span, so critical-path attribution covers the whole compute
   path and still sums to exactly 100%.
@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import Span, Tracer, maybe_span
+from ..cloudsim.tracing import Span, maybe_span
 from ..core.errors import (
     ComputeError,
     ConfigurationError,
@@ -172,9 +172,7 @@ class Scheduler:
     """
 
     def __init__(self, pool: WorkerPool, clock: Optional[SimClock] = None,
-                 monitoring: Optional[MonitoringService] = None,
-                 tracer: Optional[Tracer] = None,
-                 fault_plan=None, *,
+                 monitoring: Optional[MonitoringService] = None, *,
                  min_workers: int = 1, max_workers: int = 8) -> None:
         if min_workers < 0 or max_workers < 1 or min_workers > max_workers:
             raise ConfigurationError(
@@ -182,8 +180,7 @@ class Scheduler:
         self.pool = pool
         self.clock = clock if clock is not None else SimClock()
         self.monitoring = monitoring
-        self.tracer = tracer
-        self.fault_plan = fault_plan
+        self.fault_plan = None
         self.min_workers = min_workers
         self.max_workers = max_workers
         self.jobs: Dict[str, Job] = {}
@@ -304,7 +301,7 @@ class Scheduler:
             self._start(job)
         if job.finished:                      # empty graph succeeds at start
             return job
-        with maybe_span(self.tracer, "compute.job", "compute",
+        with maybe_span(self.clock.tracer, "compute.job", "compute",
                         job_id=job.job_id, graph=job.graph.name) as root:
             if getattr(root, "trace_id", None) is not None:
                 job.trace_id = root.trace_id
@@ -761,8 +758,7 @@ class Scheduler:
 
 def standard_scheduler(*, clock: Optional[SimClock] = None,
                        monitoring: Optional[MonitoringService] = None,
-                       tracer: Optional[Tracer] = None,
-                       fault_plan=None, **kwargs: Any) -> Scheduler:
+                       **kwargs: Any) -> Scheduler:
     """A scheduler over a freshly built attested pool (see standard_pool).
 
     Convenience wiring for examples, benchmarks, and tests; production
@@ -772,5 +768,4 @@ def standard_scheduler(*, clock: Optional[SimClock] = None,
     from .pool import standard_pool
 
     pool = standard_pool(monitoring=monitoring)
-    return Scheduler(pool, clock=clock, monitoring=monitoring,
-                     tracer=tracer, fault_plan=fault_plan, **kwargs)
+    return Scheduler(pool, clock=clock, monitoring=monitoring, **kwargs)

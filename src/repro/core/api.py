@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
-from ..cloudsim.tracing import TraceContext, Tracer, maybe_span
+from ..cloudsim.tracing import TraceContext, maybe_span
 from ..core.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -145,8 +145,9 @@ class RequestContext:
     request_id: str
     deadline_s: Optional[float] = None
     # Propagation handle for request-path tracing: handlers pass it (or
-    # just run under the gateway's tracer) so downstream spans join the
-    # dispatch's trace tree.  None when the gateway is untraced.
+    # just run on the gateway's clock, whose tracer every component
+    # shares) so downstream spans join the dispatch's trace tree.  None
+    # when the gateway's clock is untraced.
     trace: Optional[TraceContext] = None
 
 
@@ -198,11 +199,9 @@ class ApiGateway:
                  monitoring: Optional[MonitoringService] = None,
                  clock: Optional[SimClock] = None,
                  rate_limit: int = 100, rate_window_s: float = 60.0,
-                 meter: Optional[Callable[[str, str], None]] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 meter: Optional[Callable[[str, str], None]] = None) -> None:
         self.rbac = rbac
         self.federation = federation
-        self.tracer = tracer
         self.clock = clock if clock is not None else SimClock()
         self.monitoring = (monitoring if monitoring is not None
                            else MonitoringService(self.clock))
@@ -246,7 +245,7 @@ class ApiGateway:
         # once the route resolves and the caller authenticates (a 401 or
         # 404 never learns the tenant).
         observed = {"tenant": "unauthenticated", "route": request.path}
-        with maybe_span(self.tracer, "api.dispatch", "gateway",
+        with maybe_span(self.clock.tracer, "api.dispatch", "gateway",
                         path=request.path, request_id=request_id) as span:
             try:
                 body = self._handle(request, request_id, observed)
@@ -298,8 +297,8 @@ class ApiGateway:
 
         # 4. Deadline, dispatch, meter, audit.
         self._check_deadline(request, "before dispatch")
-        trace = (self.tracer.current_context()
-                 if self.tracer is not None else None)
+        tracer = self.clock.tracer
+        trace = tracer.current_context() if tracer is not None else None
         context = RequestContext(user=user, tenant_id=user.tenant_id,
                                  request_id=request_id,
                                  deadline_s=request.deadline_s,

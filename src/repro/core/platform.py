@@ -32,7 +32,7 @@ from .metering import MeteringService
 from .reports import ReportService
 from ..ingestion.datalake import DataLake
 from ..ingestion.export import ExportService
-from ..ingestion.pipeline import IngestionService
+from ..ingestion.pipeline import IngestionJob, IngestionService
 from ..privacy.consent import ConsentManagementService
 from ..privacy.deidentify import Deidentifier
 from ..privacy.verification import AnonymizationVerificationService
@@ -141,6 +141,11 @@ class HealthCloudPlatform:
         self.flush_blockchain()
         return processed
 
+    def _job_tenant(self, job: IngestionJob) -> Optional[str]:
+        """The tenant that owns an ingestion job: its group's tenant."""
+        group = self.rbac.groups.get(job.group_id)
+        return None if group is None else group.tenant_id
+
     # -- API surface (Section II-B "API and API management") --------------------
 
     def build_api_gateway(self, rate_limit: int = 1000, compute=None,
@@ -150,7 +155,9 @@ class HealthCloudPlatform:
         Routes require a tenant-scoped permission on their resource type:
         ``platform-status`` (read), ``reports`` (read), ``billing`` (read).
         ``/ingestion/status`` answers only for a job whose group the
-        caller's tenant owns; any other id reads as unknown (404).
+        caller's tenant owns; any other id reads as unknown (404).  The
+        two report routes answer for the caller's tenant only: its own
+        ingestion jobs, and its own users' access decisions.
         Handlers receive the request's
         :class:`~repro.core.api.RequestContext` plus its parameters.
 
@@ -168,13 +175,15 @@ class HealthCloudPlatform:
         from .api import ApiGateway, RouteSpec, require_owner
 
         def ingestion_status(context, job_id):
-            # A job belongs to the tenant that owns its group.
             job = self.ingestion.jobs.get(job_id)
-            group = None if job is None else self.rbac.groups.get(
-                job.group_id)
-            require_owner(None if group is None else group.tenant_id,
+            require_owner(None if job is None else self._job_tenant(job),
                           context, "ingestion job", job_id)
             return {"status": job.status.value, "reason": job.reason}
+
+        def operations(context):
+            return self.reports.operations_report(jobs=[
+                job for job in self.ingestion.jobs.values()
+                if self._job_tenant(job) == context.tenant_id]).body
 
         gateway = ApiGateway(
             self.rbac, self.federation, monitoring=self.monitoring,
@@ -188,13 +197,14 @@ class HealthCloudPlatform:
             description="poll an ingestion job's status URL"))
         gateway.register_route(RouteSpec(
             path="/reports/operations",
-            handler=lambda context: self.reports.operations_report().body,
+            handler=operations,
             action=Action.READ, resource_type="reports",
             scope_kind=ScopeKind.TENANT,
             description="operations dashboard"))
         gateway.register_route(RouteSpec(
             path="/reports/compliance",
-            handler=lambda context: self.reports.compliance_report().body,
+            handler=lambda context: self.reports.compliance_report(
+                context.tenant_id).body,
             action=Action.READ, resource_type="reports",
             scope_kind=ScopeKind.TENANT,
             description="compliance dashboard"))

@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
 
-from ..cloudsim.monitoring import MonitoringService
+from ..cloudsim.monitoring import MonitoringService, summarize
 from ..compliance.audit import AuditService
 from ..compliance.hipaa import HipaaControlRegistry
 from ..core.metering import MeteringService
+from ..ingestion.pipeline import IngestionJob, IngestionStatus
 
 
 @dataclass
@@ -49,16 +50,32 @@ class ReportService:
         self.audit = audit
         self.metering = metering
 
-    def operations_report(self) -> Report:
-        """Ingestion/throughput/latency snapshot."""
-        metrics = self.monitoring.metrics
-        latency = metrics.summary("ingestion.latency")
-        body = {
-            "uploads": metrics.counter("ingestion.uploads"),
-            "stored": metrics.counter("ingestion.stored"),
-            "rejected": metrics.counter("ingestion.rejected"),
-            "latency": latency,
-        }
+    def operations_report(
+            self, jobs: Optional[Sequence[IngestionJob]] = None) -> Report:
+        """Ingestion/throughput/latency snapshot.
+
+        Platform-wide, from the ``ingestion.*`` metrics; given ``jobs``
+        (one tenant's), the same figures over those jobs only.
+        """
+        if jobs is None:
+            metrics = self.monitoring.metrics
+            body = {
+                "uploads": metrics.counter("ingestion.uploads"),
+                "stored": metrics.counter("ingestion.stored"),
+                "rejected": metrics.counter("ingestion.rejected"),
+                "latency": metrics.summary("ingestion.latency"),
+            }
+        else:
+            stored = [job for job in jobs
+                      if job.status is IngestionStatus.STORED]
+            body = {
+                "uploads": float(len(jobs)),
+                "stored": float(len(stored)),
+                "rejected": float(sum(
+                    job.status is IngestionStatus.REJECTED for job in jobs)),
+                "latency": summarize(job.latency_s for job in stored),
+            }
+        latency = body["latency"]
         rows = [
             f"uploads:  {body['uploads']:.0f}",
             f"stored:   {body['stored']:.0f}",
@@ -69,8 +86,12 @@ class ReportService:
                         f"{latency['p95'] * 1e3:.1f} ms (simulated)")
         return Report("Operations", body, _render("Operations", rows))
 
-    def compliance_report(self) -> Report:
-        """Control coverage per regulation + latest audit verdict."""
+    def compliance_report(self, tenant_id: Optional[str] = None) -> Report:
+        """Control coverage per regulation + latest audit verdict.
+
+        With ``tenant_id``, the audit counts only that tenant's users'
+        access decisions.
+        """
         if self.controls is None:
             raise ValueError("no control registry wired")
         body: Dict[str, Any] = {
@@ -83,7 +104,7 @@ class ReportService:
         rows = [f"{regulation}: {coverage:.0%} of controls implemented"
                 for regulation, coverage in body["coverage"].items()]
         if self.audit is not None:
-            audit_report = self.audit.run_audit()
+            audit_report = self.audit.run_audit(tenant_id=tenant_id)
             body["audit_clean"] = audit_report.clean
             body["findings"] = audit_report.findings
             rows.append(f"audit: {'CLEAN' if audit_report.clean else 'FINDINGS'}"

@@ -10,6 +10,7 @@ deletion of data ... encryption-based record deletion").
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
@@ -200,9 +201,12 @@ class KmsFleet:
         """The tenant's dedicated KMS, provisioned on first request."""
         kms = self._instances.get(tenant_id)
         if kms is None:
+            # 16 bits of a digest of the id: ``hash()`` of a string is
+            # salted per process, and a seeded fleet must not be.
+            tenant_bits = int.from_bytes(
+                hashlib.sha256(tenant_id.encode()).digest()[:2], "big")
             seed = (None if self._seed is None
-                    else self._seed * 1_000_003
-                    + (hash(tenant_id) & 0xFFFF))
+                    else self._seed * 1_000_003 + tenant_bits)
             kms = KeyManagementService(tenant_id, seed=seed)
             self._instances[tenant_id] = kms
         return kms

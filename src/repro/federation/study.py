@@ -90,16 +90,15 @@ class FederatedStudyService:
                  scheduler: Scheduler,
                  institutions: Sequence[Institution],
                  monitoring: Optional[MonitoringService] = None,
-                 tracer=None, seed: int = 0,
+                 seed: int = 0,
                  jmf_config: Optional[JmfStudyConfig] = None,
                  delt_config: Optional[DeltStudyConfig] = None) -> None:
         self.clock = clock
         self.network = network
         self.scheduler = scheduler
         self.monitoring = monitoring
-        self.tracer = tracer
         self._uplinks = ResilientExecutor(DELIVERY_POLICY, clock,
-                                          monitoring, tracer)
+                                          monitoring)
         self.institutions: Dict[str, Institution] = {
             inst.name: inst for inst in institutions}
         self.jmf_config = jmf_config
@@ -250,7 +249,7 @@ class FederatedStudyService:
                 f"approvals; cannot run")
         self._invoke(study_id, "start", study_id=study_id,
                      started_at=self.clock.now)
-        with maybe_span(self.tracer, "federation.study", "federation",
+        with maybe_span(self.clock.tracer, "federation.study", "federation",
                         study=study_id, analysis=local["analysis"]) as span:
             local["trace_id"] = getattr(span, "trace_id", None)
             from .analytics import federated_delt, federated_jmf
@@ -287,7 +286,7 @@ class FederatedStudyService:
         """Run one secure-aggregation round; returns the combined vector."""
         local = self._known(study_id)
         participants = local["participants"]
-        with maybe_span(self.tracer, "federation.round", "federation",
+        with maybe_span(self.clock.tracer, "federation.round", "federation",
                         study=study_id, round=round_tag):
             uploads = self._compute_phase(local, round_tag, compute_fn,
                                           cost_s)

@@ -98,6 +98,9 @@ class IngestionJob:
     stage_times: Dict[str, float] = field(default_factory=dict)
     stored_record_ids: List[str] = field(default_factory=list)
     reference_bundle_id: str = ""
+    # Simulated seconds from the start of processing to storage; set
+    # only for a stored job.
+    latency_s: Optional[float] = None
 
     @property
     def status_url(self) -> str:
@@ -157,7 +160,6 @@ class IngestionService:
         self._key_seed = key_seed
         self.reidentification = ReidentificationMap()
         self.provenance_batch_size = provenance_batch_size
-        self.tracer = None   # optional request-path tracing hook
         # The open batch and its verdict reports are kept until their
         # submission succeeds; a failed flush retries them next time.
         self._batch = ProvenanceBatch()
@@ -214,14 +216,14 @@ class IngestionService:
         """
         processed = 0
         in_batch = 0
-        with maybe_span(self.tracer, "ingestion.process_pending",
+        with maybe_span(self.clock.tracer, "ingestion.process_pending",
                         "ingestion",
                         batch_size=self.provenance_batch_size) as span:
             while self._queue and (limit is None or processed < limit):
                 job_id = self._queue.popleft()
                 job = self.jobs[job_id]
-                with maybe_span(self.tracer, "ingestion.job", "ingestion",
-                                job=job_id) as job_span:
+                with maybe_span(self.clock.tracer, "ingestion.job",
+                                "ingestion", job=job_id) as job_span:
                     self._process(job)
                     job_span.set_attribute("status", job.status.value)
                 processed += 1
@@ -367,9 +369,9 @@ class IngestionService:
         job.reference_bundle_id = clean_bundle.id
         self._advance(job, IngestionStatus.STORED)
         self._provenance(job, data_hash, "stored")
+        job.latency_s = self.clock.now - start
         self.monitoring.metrics.incr("ingestion.stored")
-        self.monitoring.metrics.observe("ingestion.latency",
-                                        self.clock.now - start)
+        self.monitoring.metrics.observe("ingestion.latency", job.latency_s)
 
     # -- blockchain hooks --------------------------------------------------------------
 

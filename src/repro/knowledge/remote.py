@@ -49,7 +49,6 @@ class RemoteKnowledgeBase:
         self.link = link
         self.fault_plan = None
         self.resilience = resilience
-        self.tracer = None   # optional request-path tracing hook
 
     def call(self, method: str, *args: Hashable) -> Any:
         """Invoke a KB method remotely (clock advances by one round trip)."""
@@ -75,7 +74,7 @@ class RemoteKnowledgeBase:
         return self._call_batch_once(method, items)
 
     def _call_once(self, method: str, *args: Hashable) -> Any:
-        with maybe_span(self.tracer, "kb.call", "knowledge",
+        with maybe_span(self.clock.tracer, "kb.call", "knowledge",
                         kb=self.name, method=method) as span:
             round_trip = self.round_trip_s
             if self.fault_plan is not None:
@@ -93,7 +92,7 @@ class RemoteKnowledgeBase:
             return getattr(self._base, method)(*args)
 
     def _call_batch_once(self, method: str, items: Sequence[Hashable]) -> Any:
-        with maybe_span(self.tracer, "kb.call_batch", "knowledge",
+        with maybe_span(self.clock.tracer, "kb.call_batch", "knowledge",
                         kb=self.name, method=method,
                         items=len(items)) as span:
             round_trip = self.round_trip_s + self.per_item_cost_s * len(items)

@@ -89,8 +89,7 @@ class StreamingPipeline:
         self.push_slo_threshold_s = push_slo_threshold_s
         self._commits = ResilientExecutor(COMMIT_POLICY, self.clock,
                                           self.monitoring)
-        # Optional hooks, attached post-construction (tracer.bind / chaos).
-        self.tracer = None
+        # Chaos hook, attached post-construction.
         self.fault_plan = None
         self._queues: Dict[int, StreamQueue] = {}
         self.arrivals = 0
@@ -103,14 +102,6 @@ class StreamingPipeline:
         self.last_trace_id: Optional[str] = None
         self.monitoring.metrics.register_gauge("streaming.queue_depth",
                                                lambda: self.depth)
-
-    @property
-    def tracer(self):
-        return self._commits.tracer
-
-    @tracer.setter
-    def tracer(self, tracer) -> None:
-        self._commits.tracer = tracer
 
     # -- queue plumbing --------------------------------------------------------
 
@@ -202,22 +193,22 @@ class StreamingPipeline:
     def _process(self, event: StreamEvent) -> None:
         """One event through admit → commit → update → push, fully traced."""
         wait_s = self.clock.now - event.arrival_s
-        with maybe_span(self.tracer, "streaming.process", "streaming",
+        with maybe_span(self.clock.tracer, "streaming.process", "streaming",
                         event_id=event.event_id,
                         event_class=event.event_class,
                         queue_wait_s=wait_s) as root:
-            with maybe_span(self.tracer, "streaming.admit",
+            with maybe_span(self.clock.tracer, "streaming.admit",
                             "streaming.queue"):
                 self.clock.advance(ADMIT_COST_S)
-            with maybe_span(self.tracer, "streaming.commit",
+            with maybe_span(self.clock.tracer, "streaming.commit",
                             "streaming.commit") as span:
                 self._commit(event, span)
-            with maybe_span(self.tracer, "streaming.update",
+            with maybe_span(self.clock.tracer, "streaming.update",
                             "streaming.analytics") as span:
                 cost = self.analytics.apply(event)
                 span.set_attribute("update_cost_s", cost)
                 self.clock.advance(cost)
-            with maybe_span(self.tracer, "streaming.push",
+            with maybe_span(self.clock.tracer, "streaming.push",
                             "streaming.push") as span:
                 self.clock.advance(PUSH_COST_S)
                 self._push(event, root, span)

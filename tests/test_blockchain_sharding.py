@@ -299,7 +299,6 @@ class TestShardedTraceAttribution:
         clock = SimClock()
         net = ShardedBlockchainNetwork(4, seed=0, batch_size=8, clock=clock)
         tracer = Tracer(clock)
-        net.tracer = tracer
         report = net.ingest("ingestion-service", _keyed_requests(40),
                             round_size=8)
         root = tracer.get_trace("t-00000001")
@@ -321,7 +320,7 @@ class TestShardedTraceAttribution:
         clock = SimClock()
         traced_net = ShardedBlockchainNetwork(4, seed=0, batch_size=8,
                                               clock=clock)
-        traced_net.tracer = Tracer(clock)
+        Tracer(clock)
         traced = traced_net.ingest("ingestion-service", _keyed_requests(40),
                                    round_size=8)
         assert traced.elapsed_s == pytest.approx(plain.elapsed_s)

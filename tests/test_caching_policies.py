@@ -603,7 +603,7 @@ class _PerKeyHierarchy(CacheHierarchy):
 
         origin_keys = len(remaining)
         if remaining:
-            with maybe_span(self.tracer, "cache.origin_fetch", "cache",
+            with maybe_span(self.clock.tracer, "cache.origin_fetch", "cache",
                             origin=self.origin.name, keys=len(remaining)):
                 self.clock.advance(
                     self.origin.access_cost_s

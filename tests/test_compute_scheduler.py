@@ -37,8 +37,8 @@ def make_world(**kwargs):
     tracer = Tracer(clock)
     fault_plan = FaultPlan(seed=0, clock=clock)
     scheduler = standard_scheduler(clock=clock, monitoring=monitoring,
-                                   tracer=tracer, fault_plan=fault_plan,
                                    **kwargs)
+    scheduler.fault_plan = fault_plan
     return scheduler, clock, monitoring, plane, tracer, fault_plan
 
 

@@ -24,6 +24,22 @@ class TestOperationsReport:
         report = ReportService(MonitoringService()).operations_report()
         assert report.body["uploads"] == 0
 
+    def test_given_jobs_count_only_themselves(self):
+        from repro.ingestion.pipeline import IngestionJob, IngestionStatus
+        monitoring = MonitoringService()
+        monitoring.metrics.incr("ingestion.uploads", 10)
+        monitoring.metrics.observe("ingestion.latency", 9.0)
+        stored, rejected = IngestionStatus.STORED, IngestionStatus.REJECTED
+        jobs = [IngestionJob("j1", "c", "g", None, stored, latency_s=0.02),
+                IngestionJob("j2", "c", "g", None, stored, latency_s=0.04),
+                IngestionJob("j3", "c", "g", None, rejected),
+                IngestionJob("j4", "c", "g", None)]
+        body = ReportService(monitoring).operations_report(jobs).body
+        assert (body["uploads"], body["stored"], body["rejected"]) == (
+            4.0, 2.0, 1.0)
+        assert body["latency"]["count"] == 2
+        assert body["latency"]["max"] == 0.04
+
 
 class TestComplianceReport:
     def test_coverage_and_audit(self):

@@ -1,7 +1,13 @@
 """Tests for the key management system."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.errors import (
     AuthorizationError,
     KeyManagementError,
@@ -170,3 +176,22 @@ class TestKmsFleet:
 
     def test_offboard_unknown_tenant(self):
         assert KmsFleet().offboard_tenant("ghost") == 0
+
+    def test_tenant_keys_do_not_change_between_processes(self):
+        # ``hash()`` of a string is salted per process, so a tenant seed
+        # built from it gave one tenant different keys in every process.
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        script = ("from repro.crypto.kms import KmsFleet\n"
+                  "kms = KmsFleet(seed=1).for_tenant('acme')\n"
+                  "key_id = kms.create_key('phi')\n"
+                  "print(kms._keys[key_id].material.hex())\n")
+        materials = []
+        for hash_seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": source_root,
+                     "PYTHONHASHSEED": hash_seed},
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            materials.append(done.stdout.strip())
+        assert materials[0] == materials[1]

@@ -56,8 +56,9 @@ class TestKeygen:
             generate_keypair(bits=128)
 
     def test_odd_size_rejected(self):
-        # Both primes get bits // 2 bits, so an odd-sized modulus is never
-        # reached; the search used to retry forever.
+        # Three primes of bits - 2*(bits//3), bits//3 and bits//3 bits
+        # could reach an odd size; it is refused only because no caller
+        # needs one.
         with pytest.raises(ValueError):
             generate_keypair(bits=257, seed=1)
         with pytest.raises(ValueError):

@@ -33,13 +33,10 @@ def build_world(n_institutions=3, sharded=False, seed=5, n_patients=24,
                                       patients=cohort.patients, seed=seed)
     network = ShardedBlockchainNetwork(2 if sharded else 1, seed=seed,
                                        clock=clock, monitoring=monitoring)
-    network.tracer = tracer
-    scheduler = standard_scheduler(clock=clock, monitoring=monitoring,
-                                   tracer=tracer)
+    scheduler = standard_scheduler(clock=clock, monitoring=monitoring)
     service = FederatedStudyService(
         clock=clock, network=network, scheduler=scheduler,
-        institutions=institutions, monitoring=monitoring, tracer=tracer,
-        seed=seed,
+        institutions=institutions, monitoring=monitoring, seed=seed,
         delt_config=DeltStudyConfig(n_drugs=N_DRUGS,
                                     max_iterations=max_iterations))
     return service, institutions, network, tracer

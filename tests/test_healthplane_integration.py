@@ -136,7 +136,7 @@ class TestGatewayFeed:
         federation.approve_idp("idp", b"idp-secret-key-01")
         federation.link_identity("idp", "u@t", user.user_id)
         gateway = ApiGateway(rbac, federation, monitoring=monitoring,
-                             clock=clock, tracer=tracer)
+                             clock=clock)
         gateway.register_route(RouteSpec(
             path="/echo", handler=lambda context, **kw: {},
             action=Action.READ, resource_type="records",

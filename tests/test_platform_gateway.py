@@ -35,8 +35,8 @@ def gateway_world():
     return platform, context, gateway, idp
 
 
-def _call(gateway, idp, context, path, **kwargs):
-    token = idp.issue_token("ops@acme")
+def _call(gateway, idp, context, path, login="ops@acme", **kwargs):
+    token = idp.issue_token(login)
     return gateway.dispatch(ApiRequest(
         path=path, token=token,
         scope_entity_id=context.tenant.tenant_id,
@@ -174,3 +174,72 @@ class TestIngestionStatusIsolation:
         assert response.status == 404
         assert response.body == {
             "error": f"no ingestion job {orphan.job_id!r}"}
+
+
+def _report_world(acme_activity):
+    """Tenants acme and globex, each with a reports reader, on one
+    platform.  With ``acme_activity``, acme uploads 3 bundles that are
+    rejected for want of consent, then makes 5 denied calls and 1
+    allowed one."""
+    from repro.fhir import Bundle, Patient
+    from repro.ingestion import encrypt_bundle_for_upload
+    platform = HealthCloudPlatform(seed=151, use_blockchain=False)
+    idp = ExternalIdentityProvider("hospital-idp", b"secret-key-0123456",
+                                   platform.clock)
+    platform.federation.approve_idp("hospital-idp", b"secret-key-0123456")
+    tenants = {}
+    for name in ("acme", "globex"):
+        context = platform.register_tenant(name)
+        user = platform.rbac.register_user(context.tenant.tenant_id, "ops")
+        platform.rbac.define_role(f"{name}-reader", [Permission(
+            Action.READ, "reports",
+            Scope(ScopeKind.TENANT, context.tenant.tenant_id))])
+        platform.rbac.bind_role(user.user_id, context.default_org.org_id,
+                                context.default_env.env_id,
+                                f"{name}-reader")
+        platform.federation.link_identity("hospital-idp", f"ops@{name}",
+                                          user.user_id)
+        tenants[name] = context
+    gateway = platform.build_api_gateway()
+
+    def call(name, path):
+        return _call(gateway, idp, tenants[name], path,
+                     login=f"ops@{name}")
+
+    if acme_activity:
+        group = platform.rbac.create_group(tenants["acme"].tenant.tenant_id,
+                                           "g")
+        registration = platform.ingestion.register_client("c")
+        for i in range(3):
+            bundle = Bundle(id=f"b{i}").add(Patient(
+                id=f"pt-{i}", name={"family": "X"},
+                birthDate="1980-01-01", gender="male"))
+            platform.ingestion.upload(
+                "c", encrypt_bundle_for_upload(bundle, registration),
+                group.group_id)
+        assert platform.run_ingestion() == 3
+        for _ in range(5):
+            assert call("acme", "/billing").status == 403
+        assert call("acme", "/reports/operations").status == 200
+    return call
+
+
+class TestReportIsolation:
+    """The two report routes answer for the caller's tenant only."""
+
+    def test_another_tenants_activity_leaves_both_bodies_unchanged(self):
+        quiet, busy = _report_world(False), _report_world(True)
+        for path in ("/reports/operations", "/reports/compliance"):
+            alone, beside = quiet("globex", path), busy("globex", path)
+            assert alone.status == beside.status == 200
+            assert beside.body == alone.body
+        assert alone.body["audit_clean"] is True
+
+    def test_operations_counts_the_callers_own_jobs(self):
+        call = _report_world(True)
+        body = call("acme", "/reports/operations").body
+        assert body == {"uploads": 3.0, "stored": 0.0, "rejected": 3.0,
+                        "latency": {"count": 0}}
+        findings = call("acme", "/reports/compliance").body["findings"]
+        assert any("denial ratio" in finding for finding in findings)
+

@@ -96,7 +96,6 @@ class TestTracing:
     def test_attribution_sums_to_exactly_100(self):
         network, pipeline, feed = _world()
         tracer = Tracer(network.clock)
-        pipeline.tracer = tracer
         pipeline.run(feed.events(5.0))
         assert pipeline.last_trace_id is not None
         percentages = tracer.critical_path(
@@ -109,7 +108,6 @@ class TestTracing:
     def test_retried_flush_traces_attempts_and_backoff(self):
         network, pipeline, feed = _world(rate_calm_hz=20.0)
         tracer = Tracer(network.clock)
-        pipeline.tracer = tracer
         plan = FaultPlan(seed=2, clock=network.clock)
         plan.drop_link("stream-worker", "orderer", 0.6,
                        start_s=0.0, end_s=60.0)
@@ -137,12 +135,12 @@ class TestTracing:
 
     def test_worst_wait_has_trace_exemplar(self):
         network, pipeline, feed = _world()
-        pipeline.tracer = Tracer(network.clock)
+        tracer = Tracer(network.clock)
         pipeline.run(feed.events(5.0))
         exemplar = network.monitoring.metrics.exemplar(
             "streaming.queue.wait_s")
         assert exemplar is not None
-        assert pipeline.tracer.has_trace(exemplar["trace_id"])
+        assert tracer.has_trace(exemplar["trace_id"])
 
 
 class TestChaos:

@@ -129,8 +129,9 @@ class TestSpanTree:
             span.set_status("ERROR", "nope")
         assert span.trace_id is None
 
-    def test_max_traces_bounds_storage(self):
-        tracer = Tracer(max_traces=2)
+    def test_max_traces_bounds_storage(self, monkeypatch):
+        monkeypatch.setattr("repro.cloudsim.tracing.MAX_TRACES", 2)
+        tracer = Tracer()
         for _ in range(3):
             with tracer.span("op", "a"):
                 pass
@@ -266,22 +267,20 @@ def build_world(traced=True):
 
     executor = ResilientExecutor(
         ResiliencePolicy(timeout_s=5.0, max_attempts=3, jitter=0.0),
-        clock=clock, monitoring=monitoring, tracer=tracer)
+        clock=clock, monitoring=monitoring)
     remote = RemoteKnowledgeBase(_TermKb(), clock, resilience=executor)
-    remote.tracer = tracer
 
     hierarchy = CacheHierarchy(
         [CacheLevel("l1", LruCache(64), 50e-6)],
         Origin("kb-origin", lambda key: remote.call("lookup", key),
                access_cost_s=0.0),
-        clock=clock, monitoring=monitoring, tracer=tracer)
+        clock=clock, monitoring=monitoring)
 
     net = standard_network(seed=7, batch_size=1, clock=clock,
                            monitoring=monitoring)
-    net.tracer = tracer
 
     gateway = ApiGateway(rbac, federation, monitoring=monitoring,
-                         clock=clock, rate_limit=1000, tracer=tracer)
+                         clock=clock, rate_limit=1000)
     seen_contexts = []
 
     def lookup_handler(context, key):
@@ -476,31 +475,33 @@ class TestFaultsInTraces:
         assert root.attributes["http.status"] == 503
 
 
+def _ingest_one_consented_bundle(p):
+    """Upload one consented bundle to platform ``p`` and ingest it."""
+    from repro.ingestion.pipeline import encrypt_bundle_for_upload
+    from repro.fhir.resources import Bundle, Observation, Patient
+
+    context = p.register_tenant("acme")
+    group = p.rbac.create_group(context.tenant.tenant_id, "study")
+    registration = p.ingestion.register_client("client-1")
+    p.consent.grant("pt-1", group.group_id)
+
+    bundle = Bundle(id="b1")
+    bundle.add(Patient(id="pt-1", name={"family": "Doe"},
+                       birthDate="1980-03-12", gender="female"))
+    bundle.add(Observation(id="pt-1-obs", code={"text": "HbA1c"},
+                           subject="Patient/pt-1",
+                           valueQuantity={"value": 7.0, "unit": "%"}))
+    p.ingestion.upload(
+        "client-1", encrypt_bundle_for_upload(bundle, registration),
+        group.group_id)
+    p.run_ingestion()
+
+
 class TestIngestionTracing:
     def test_process_pending_produces_job_spans(self):
-        from repro.ingestion.pipeline import encrypt_bundle_for_upload
-        from repro.fhir.resources import Bundle, Observation, Patient
-
         p = HealthCloudPlatform(seed=17)
         tracer = Tracer(p.clock)
-        p.ingestion.tracer = tracer
-        p.blockchain.tracer = tracer
-
-        context = p.register_tenant("acme")
-        group = p.rbac.create_group(context.tenant.tenant_id, "study")
-        registration = p.ingestion.register_client("client-1")
-        p.consent.grant("pt-1", group.group_id)
-
-        bundle = Bundle(id="b1")
-        bundle.add(Patient(id="pt-1", name={"family": "Doe"},
-                           birthDate="1980-03-12", gender="female"))
-        bundle.add(Observation(id="pt-1-obs", code={"text": "HbA1c"},
-                               subject="Patient/pt-1",
-                               valueQuantity={"value": 7.0, "unit": "%"}))
-        p.ingestion.upload(
-            "client-1", encrypt_bundle_for_upload(bundle, registration),
-            group.group_id)
-        p.run_ingestion()
+        _ingest_one_consented_bundle(p)
 
         roots = [tracer.get_trace(tid) for tid in tracer.trace_ids()]
         batch = next(r for r in roots
@@ -514,3 +515,16 @@ class TestIngestionTracing:
         assert "blockchain" in layers
         for tid in tracer.trace_ids():
             assert tracer.verify_trace(tid)
+
+    def test_a_tracer_on_the_platform_clock_traces_the_whole_platform(self):
+        # Nothing is wired by hand: every component on the platform's
+        # clock spans under the one tracer built on it.
+        p = HealthCloudPlatform(seed=17)
+        tracer = Tracer(p.clock)
+        _ingest_one_consented_bundle(p)
+
+        roots = [tracer.get_trace(tid) for tid in tracer.trace_ids()]
+        assert [r.name for r in roots] == ["ingestion.process_pending",
+                                           "blockchain.commit"]
+        assert [c.name for c in roots[0].children] == [
+            "ingestion.job", "blockchain.endorse_batch"]

@@ -52,7 +52,7 @@ def build_world(rate_limit):
 
     gateway = ApiGateway(rbac, federation, monitoring=monitoring,
                          clock=clock, rate_limit=rate_limit,
-                         rate_window_s=60.0, tracer=tracer)
+                         rate_window_s=60.0)
 
     def boom_handler(context, **kw):
         raise RuntimeError("handler exploded "

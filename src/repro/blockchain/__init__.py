@@ -30,7 +30,14 @@ from .identity import (
     PseudonymVerifier,
     SelfSovereignIdentity,
 )
-from .ledger import Block, GENESIS_HASH, Ledger, Transaction, build_block
+from .ledger import (
+    Block,
+    Endorsement,
+    GENESIS_HASH,
+    Ledger,
+    Transaction,
+    build_block,
+)
 from .network import (
     BlockchainNetwork,
     EndorsementPolicy,
@@ -68,6 +75,7 @@ __all__ = [
     "PseudonymVerifier",
     "SelfSovereignIdentity",
     "Block",
+    "Endorsement",
     "GENESIS_HASH",
     "Ledger",
     "Transaction",

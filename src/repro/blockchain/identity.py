@@ -115,12 +115,13 @@ class MembershipServiceProvider:
 
     def verify_batch(self, member_id: str,
                      pairs: List[Tuple[bytes, bytes]]) -> List[bool]:
-        """Verify many ``(payload, signature)`` pairs from one member.
+        """Verify many ``(message, signature)`` pairs from one member.
 
         Uses screening-style aggregate RSA verification (one public-key
         exponentiation per batch) with a per-signature fallback that
         pinpoints invalid signatures; block validation batches each
-        endorser's signatures across a whole block through this.
+        endorser's visit-root signatures across a whole block through
+        this.
         """
         key = self._key(member_id)
         if key is None:

@@ -13,11 +13,26 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..core.canonical import canonical_json
 from ..core.errors import LedgerError
 from ..crypto.merkle import IncrementalMerkleTree, MerkleTree
+
+
+class Endorsement(NamedTuple):
+    """One endorsing member's signature on one transaction.
+
+    A peer signs once per visit: the root of a Merkle tree over the
+    payloads of the transactions it endorsed on that visit.  ``path`` is
+    this transaction's authentication path in that tree, so the signed
+    root recomputes from the transaction's own payload
+    (:func:`repro.crypto.merkle.root_from_path`); a transaction endorsed
+    alone has an empty path."""
+
+    member_id: str
+    signature: bytes
+    path: Tuple[Tuple[bytes, bool], ...]
 
 
 @dataclass(frozen=True)
@@ -34,14 +49,15 @@ class Transaction:
     args: Dict[str, Any]
     submitter: str
     timestamp: float
-    endorsements: Tuple[Tuple[str, bytes], ...] = ()  # (member_id, signature)
+    endorsements: Tuple[Endorsement, ...] = ()
     channel: Optional[str] = None
 
     def payload(self) -> bytes:
-        """Canonical bytes that endorsers sign and blocks commit.
+        """Canonical bytes that blocks commit, and a leaf of the visit
+        root each endorser signs (see :class:`Endorsement`).
 
         Encoded on first use and kept, as the bytes a transaction travels
-        in: every endorser signs and every peer hashes the same ones.  A
+        in: every endorser and every peer hashes the same ones.  A
         transaction's fields, ``args`` included, are never changed in
         place; ``dataclasses.replace`` makes a new one, encoded afresh,
         and :meth:`Ledger.verify` re-encodes every transaction it walks.
@@ -62,7 +78,7 @@ class Transaction:
         return canonical_json(body)
 
     def with_endorsements(
-            self, endorsements: Iterable[Tuple[str, bytes]]) -> "Transaction":
+            self, endorsements: Iterable[Endorsement]) -> "Transaction":
         endorsed = replace(self, args=dict(self.args),
                            endorsements=tuple(endorsements))
         # The payload leaves endorsements out, so the bytes carry over.

@@ -6,7 +6,7 @@ such as Hyperledger"):
 
 1. a client submits a proposal;
 2. **endorsing peers**, asked one at a time until the policy holds,
-   simulate the chaincode and sign the result;
+   simulate the chaincode and sign what they endorsed, once per visit;
 3. the proposal must satisfy the channel's **endorsement policy**
    (at least N signatures from distinct organizations);
 4. the **ordering service** batches endorsed transactions into blocks;
@@ -21,12 +21,13 @@ the global ledger."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import EndorsementError, LedgerError, ServiceUnavailableError
 from ..cloudsim.clock import SimClock
 from ..cloudsim.monitoring import MonitoringService
 from ..cloudsim.tracing import maybe_span
+from ..crypto.merkle import MerkleTree, root_from_path
 from .chaincode import (
     Chaincode,
     ConsentContract,
@@ -39,7 +40,7 @@ from .chaincode import (
     WorldState,
 )
 from .identity import MembershipServiceProvider
-from .ledger import Block, Ledger, Transaction, build_block
+from .ledger import Block, Endorsement, Ledger, Transaction, build_block
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,10 @@ class Peer:
         scratch = CopyOnWriteState(self.state)
         return chaincode.invoke(scratch, tx.method, tx.args)
 
-    def endorse(self, tx: Transaction) -> Tuple[str, bytes]:
-        """Simulate then sign the transaction payload."""
+    def endorse(self, tx: Transaction) -> None:
+        """Endorse one proposal of a visit: refuse it while down or for
+        another channel, else simulate it.  The visit's endorsed
+        proposals are signed together (:meth:`sign_visit`)."""
         if self.fault_plan is not None and self.fault_plan.node_down(
                 self.peer_id):
             raise ServiceUnavailableError(f"peer {self.peer_id} is down")
@@ -103,8 +106,18 @@ class Peer:
             raise LedgerError(f"peer {self.peer_id} does not endorse "
                               f"for channel {tx.channel!r}")
         self.simulate(tx)
-        signature = self._msp.sign_as(self.member_id, tx.payload())
-        return (self.member_id, signature)
+
+    def sign_visit(self, txs: Sequence[Transaction]) -> List[Endorsement]:
+        """One signature for every transaction endorsed on one visit.
+
+        Signs the root of a Merkle tree over the payloads of ``txs``;
+        each transaction's endorsement carries that signature and its
+        own path, from which a validating peer recomputes the root.
+        """
+        tree = MerkleTree([tx.payload() for tx in txs])
+        signature = self._msp.sign_as(self.member_id, tree.root)
+        return [Endorsement(self.member_id, signature, proof.path)
+                for proof in tree.proofs()]
 
     def _policy_admits(self, tx: Transaction,
                        policy: EndorsementPolicy) -> bool:
@@ -118,10 +131,10 @@ class Peer:
         if tx.channel != self.channel:
             return False
         orgs: Dict[str, str] = {}  # member id -> organization
-        for member_id, _ in tx.endorsements:
-            member = self._msp.enrolment(member_id)
+        for endorsement in tx.endorsements:
+            member = self._msp.enrolment(endorsement.member_id)
             if "peer" in member.roles:
-                orgs[member_id] = member.organization
+                orgs[endorsement.member_id] = member.organization
         return policy.satisfied_by(list(orgs.values()))
 
     def _verify_block_endorsements(self, block: Block,
@@ -129,37 +142,41 @@ class Peer:
                                    ) -> List[bool]:
         """Per-transaction signature validity via batch RSA screening.
 
-        Endorsement signatures are grouped by endorsing member (one
-        public key per group) and each group is verified with one
-        aggregate screening exponentiation across the whole block; a
-        failing group falls back to per-signature verification inside
-        ``MembershipServiceProvider.verify_batch``, so verdicts match the
-        per-signature path exactly.  ``verified`` is an optional memo
-        owned by the caller, keyed by this peer's MSP, a group's member
-        and its exact ``(payload, signature)`` pairs: a verdict depends
-        on nothing else, so peers committing one block share it.
-        Returns, per transaction, whether *every* endorsement on it
-        verified.
+        Each endorsement's signed root is recomputed from its
+        transaction's payload and its path, so a wrong path fails like a
+        forged signature.  The distinct ``(root, signature)`` pairs (the
+        transactions of one visit share one) are grouped by endorsing
+        member, one public key per group, and each group is verified
+        with one aggregate screening exponentiation across the whole
+        block; a failing group falls back to per-signature verification
+        inside ``MembershipServiceProvider.verify_batch``, so verdicts
+        match checking each endorsement alone.  ``verified`` is an
+        optional memo owned by the caller, keyed by this peer's MSP, a
+        group's member and its exact pairs: a verdict depends on nothing
+        else, so peers committing one block share it.  Returns, per
+        transaction, whether *every* endorsement on it verified.
         """
-        groups: Dict[str, List[Tuple[int, bytes, bytes]]] = {}
+        # member id -> (root, signature) -> indices of its transactions
+        groups: Dict[str, Dict[Tuple[bytes, bytes], List[int]]] = {}
         for index, tx in enumerate(block.transactions):
             payload = tx.payload()
-            for member_id, signature in tx.endorsements:
-                groups.setdefault(member_id, []).append(
-                    (index, payload, signature))
+            for member_id, signature, path in tx.endorsements:
+                root = root_from_path(payload, path)
+                groups.setdefault(member_id, {}).setdefault(
+                    (root, signature), []).append(index)
         valid = [True] * len(block.transactions)
-        for member_id, entries in groups.items():
-            pairs = tuple((payload, signature)
-                          for _, payload, signature in entries)
+        for member_id, signed in groups.items():
+            pairs = tuple(signed)
             key = (self._msp, member_id, pairs)
             verdicts = None if verified is None else verified.get(key)
             if verdicts is None:
                 verdicts = self._msp.verify_batch(member_id, list(pairs))
                 if verified is not None:
                     verified[key] = verdicts
-            for (index, _, _), ok in zip(entries, verdicts):
+            for indices, ok in zip(signed.values(), verdicts):
                 if not ok:
-                    valid[index] = False
+                    for index in indices:
+                        valid[index] = False
         return valid
 
     def commit_block(self, block: Block, policy: EndorsementPolicy,
@@ -173,10 +190,11 @@ class Peer:
         nothing.  Transactions the channel accepted under a *degraded* quorum (see
         :class:`BlockchainNetwork` resilience) are validated against the
         reduced policy they were admitted with.  Endorsement signatures
-        are checked with screening-style aggregate RSA verification per
-        endorser; the verdicts equal per-signature verification's, and
-        ``verified`` is the caller's memo of them (see
-        :meth:`_verify_block_endorsements`).  A valid transaction runs
+        are checked against the visit roots recomputed from each
+        transaction's payload and path, with screening-style aggregate
+        RSA verification per endorser; the verdicts equal checking each
+        endorsement alone, and ``verified`` is the caller's memo of them
+        (see :meth:`_verify_block_endorsements`).  A valid transaction runs
         through :meth:`Chaincode.apply`: its argument checks ran at
         endorsement, and the signatures bind the arguments they passed.
         Returns the number of transactions applied (invalid ones are
@@ -361,22 +379,25 @@ class BlockchainNetwork:
         The one endorsement loop of the channel.  ``requests`` is a
         sequence of ``(chaincode, method, args)`` proposals.  Endorsing
         peers are visited one at a time, as a Fabric client collects
-        only the endorsements its policy names; each visited peer signs
-        the batch in a single visit, and ``ENDORSE_LATENCY`` advances
-        once per visit (a down peer's included), not once per
-        transaction.  A visit signs only the transactions still short of
-        the policy, and the visits stop once none is, so a healthy batch
-        under the default policy costs two trips.  The endorsement
-        signatures are per transaction.  Raises :class:`EndorsementError`
-        if any transaction in the batch cannot meet the policy (or the
-        degraded policy) once every peer was asked; nothing is ordered in
-        that case.
+        only the endorsements its policy names, and ``ENDORSE_LATENCY``
+        advances once per visit (a down peer's included), not once per
+        transaction.  A visit endorses only the transactions still short
+        of the policy, each on its own (a failure is retried or logged
+        per transaction), and the visits stop once none is short, so a
+        healthy batch under the default policy costs two trips.  A
+        visited peer then signs once: the Merkle root of the
+        transactions it endorsed on that visit (:meth:`Peer.sign_visit`),
+        so a healthy batch costs one signature per endorsing peer
+        whatever its size.  Raises :class:`EndorsementError` if any
+        transaction in the batch cannot meet the policy (or the degraded
+        policy) once every peer was asked; nothing is ordered in that
+        case.
         """
         txs = [self._new_transaction(submitter, chaincode, method, args)
                for chaincode, method, args in requests]
         if not txs:
             return []
-        endorsements: List[List[Tuple[str, bytes]]] = [[] for _ in txs]
+        endorsements: List[List[Endorsement]] = [[] for _ in txs]
         orgs: List[List[str]] = [[] for _ in txs]
         first_tx_number = self._tx_counter - len(txs) + 1
         short = list(range(len(txs)))  # transactions short of the policy
@@ -387,15 +408,22 @@ class BlockchainNetwork:
                 if not short:
                     break
                 self._charge("endorse", self.ENDORSE_LATENCY)  # 1 trip/visit
+                endorsed: List[int] = []
                 for i in short:
                     tx = txs[i]
                     try:
-                        endorsements[i].append(self._endorse(peer, tx))
-                        orgs[i].append(peer.organization)
+                        self._endorse(peer, tx)
                     except Exception as exc:
                         self._endorsement_failed(peer, tx, exc)
                         span.add_event("endorsement_failed", self.clock.now,
                                        peer=peer.peer_id, tx=tx.tx_id)
+                    else:
+                        endorsed.append(i)
+                if endorsed:
+                    signed = peer.sign_visit([txs[i] for i in endorsed])
+                    for i, endorsement in zip(endorsed, signed):
+                        endorsements[i].append(endorsement)
+                        orgs[i].append(peer.organization)
                 short = [i for i in short
                          if not self.policy.satisfied_by(orgs[i])]
         endorsed_batch: List[Transaction] = []
@@ -419,7 +447,7 @@ class BlockchainNetwork:
             channel=self.channel_name,
         )
 
-    def _endorse(self, peer: Peer, tx: Transaction) -> Tuple[str, bytes]:
+    def _endorse(self, peer: Peer, tx: Transaction) -> None:
         """One peer's endorsement, retried under the resilience executor.
 
         Without an executor this is a bare ``peer.endorse``; with one, a
@@ -428,12 +456,13 @@ class BlockchainNetwork:
         stop waiting on it until the half-open probe succeeds.
         """
         if self.resilience is None:
-            return peer.endorse(tx)
-        return self.resilience.call(f"peer.{peer.peer_id}",
-                                    lambda: peer.endorse(tx))
+            peer.endorse(tx)
+        else:
+            self.resilience.call(f"peer.{peer.peer_id}",
+                                 lambda: peer.endorse(tx))
 
     def _require_quorum(self, tx: Transaction,
-                        endorsements: List[Tuple[str, bytes]],
+                        endorsements: List[Endorsement],
                         orgs: List[str]) -> None:
         """Enforce the endorsement policy, degrading if configured.
 

@@ -30,7 +30,11 @@ class KeyState(Enum):
 
 @dataclass
 class ManagedKey:
-    """A master key record; ``material`` is private to the KMS."""
+    """A master key record; ``material`` is private to the KMS.
+
+    ``wrap_cipher`` wraps every data key minted under the current
+    version, so its nonce counter never repeats a nonce under one key;
+    it is built on first use and dropped when the material changes."""
 
     key_id: str
     tenant_id: str
@@ -40,6 +44,8 @@ class ManagedKey:
     material: bytes = b""
     previous_versions: Dict[int, bytes] = field(default_factory=dict)
     allowed_principals: Set[str] = field(default_factory=set)
+    wrap_cipher: Optional[SharedKeyCipher] = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,7 @@ class KeyManagementService:
         self._require_usable(key)
         key.previous_versions[key.version] = key.material
         key.version += 1
+        key.wrap_cipher = None
         self._key_counter += 1
         if self._seed is not None:
             key.material = generate_key(self._seed * 100_003 + self._key_counter)
@@ -115,6 +122,7 @@ class KeyManagementService:
         key = self._get(key_id)
         key.material = b""
         key.previous_versions.clear()
+        key.wrap_cipher = None
         key.state = KeyState.DESTROYED
 
     def grant(self, key_id: str, principal: str) -> None:
@@ -152,8 +160,10 @@ class KeyManagementService:
         return cipher.decrypt(Ciphertext.from_bytes(wrapped))
 
     def _wrap(self, key: ManagedKey, plaintext: bytes) -> bytes:
-        cipher = SharedKeyCipher(hkdf_expand(key.material, b"wrap"))
-        return cipher.encrypt(plaintext).to_bytes()
+        if key.wrap_cipher is None:
+            key.wrap_cipher = SharedKeyCipher(hkdf_expand(key.material,
+                                                          b"wrap"))
+        return key.wrap_cipher.encrypt(plaintext).to_bytes()
 
     # -- internals -------------------------------------------------------------
 

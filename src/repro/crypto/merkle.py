@@ -156,15 +156,22 @@ class IncrementalMerkleTree:
         return self.root.hex()
 
 
-def verify_proof(root: bytes, leaf_data: bytes, proof: MerkleProof) -> bool:
-    """Check a membership proof against a trusted root."""
+def root_from_path(leaf_data: bytes,
+                   path: Sequence[Tuple[bytes, bool]]) -> bytes:
+    """The root that ``leaf_data`` hashes up to along an authentication
+    ``path`` of ``(sibling_hash, sibling_is_left)`` steps."""
     current = _leaf_hash(leaf_data)
-    for sibling, sibling_is_left in proof.path:
+    for sibling, sibling_is_left in path:
         if sibling_is_left:
             current = _node_hash(sibling, current)
         else:
             current = _node_hash(current, sibling)
-    return current == root
+    return current
+
+
+def verify_proof(root: bytes, leaf_data: bytes, proof: MerkleProof) -> bool:
+    """Check a membership proof against a trusted root."""
+    return root_from_path(leaf_data, proof.path) == root
 
 
 def require_proof(root: bytes, leaf_data: bytes, proof: MerkleProof) -> None:

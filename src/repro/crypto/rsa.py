@@ -331,9 +331,9 @@ def rsa_verify_batch(public: RsaPublicKey,
     forger who controls two slots of the same message can cancel bogus
     factors); batches with duplicate messages — and signatures of the
     wrong length, which a product would silently absorb — are routed to
-    the per-signature path.  Block validation groups endorsements by
-    endorsing member, and transaction payloads within a block are unique,
-    so the fast path is the common one.
+    the per-signature path.  Block validation passes each endorsing
+    member's distinct (visit root, signature) pairs, and distinct visits
+    have distinct roots, so the fast path is the common one.
 
     Returns one verdict per ``(message, signature)`` pair, in order.
     """

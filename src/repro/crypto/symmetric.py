@@ -6,7 +6,8 @@ system)" and recommends HMACs for integrity.  We implement an
 encrypt-then-MAC AEAD built entirely from stdlib primitives:
 
 * keystream: HMAC-SHA256 in counter mode (a PRF in CTR mode is a standard
-  stream-cipher construction);
+  stream-cipher construction), made by OpenSSL's one-shot HMAC and
+  PBKDF2 calls;
 * integrity: HMAC-SHA256 over nonce || associated data || ciphertext.
 
 Encryption and MAC use independent keys derived from the master key with
@@ -29,11 +30,9 @@ KEY_BYTES = 32
 NONCE_BYTES = 16
 TAG_BYTES = 32
 _BLOCK = hashlib.sha256().digest_size
-# RFC 2104's pads, as byte translation tables for one key of up to the
-# hash's 64-byte block.
 _HMAC_KEY_BLOCK = hashlib.sha256().block_size
-_IPAD = bytes(byte ^ 0x36 for byte in range(256))
-_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+# Block 0 and PBKDF2's blocks 1 .. 2**32 - 1 (it counts them in 32 bits).
+_MAX_KEYSTREAM = _BLOCK << 32
 
 
 def hkdf_expand(key: bytes, info: bytes, length: int = KEY_BYTES) -> bytes:
@@ -42,7 +41,7 @@ def hkdf_expand(key: bytes, info: bytes, length: int = KEY_BYTES) -> bytes:
     block = b""
     counter = 1
     while len(output) < length:
-        block = hmac.new(key, block + info + bytes([counter]), hashlib.sha256).digest()
+        block = hmac.digest(key, block + info + bytes([counter]), "sha256")
         output += block
         counter += 1
     return output[:length]
@@ -56,28 +55,28 @@ def generate_key(rng_seed: Optional[int] = None) -> bytes:
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Block i is HMAC(key, nonce || i), computed as RFC 2104 defines it.
+    """Block i is HMAC(key, nonce || i), i as 8 big-endian bytes.
 
-    One SHA-256 state absorbs ``key ^ ipad`` and the nonce, another
-    ``key ^ opad``, once; each block continues from a copy of both, which
-    costs less than copying an ``hmac`` object.  A key longer than the
-    hash block would first have to be hashed, and is refused instead.
+    Two OpenSSL calls make the whole stream.  Block 0 is one
+    ``hmac.digest``.  PBKDF2-HMAC with one iteration and the salt
+    ``nonce || 0000`` outputs, as its block j = 1, 2, ..., HMAC(key,
+    salt || j) with j as 4 big-endian bytes: that is block j here, so it
+    makes blocks 1 and up.  Its 32-bit block counter bounds the stream
+    at 2**32 blocks, and a longer one is refused rather than wrapped.
+    A key longer than the hash block is refused too: HMAC would hash it
+    first, and the AEAD's keys are 32 bytes.
     """
     if len(key) > _HMAC_KEY_BLOCK:
         raise ValueError(f"keystream key must be at most {_HMAC_KEY_BLOCK} "
                          f"bytes, got {len(key)}")
-    padded = key.ljust(_HMAC_KEY_BLOCK, b"\0")
-    inner = hashlib.sha256(padded.translate(_IPAD))
-    inner.update(nonce)
-    outer = hashlib.sha256(padded.translate(_OPAD))
-    blocks = []
-    for counter in range((length + _BLOCK - 1) // _BLOCK):
-        block = inner.copy()
-        block.update(struct.pack(">q", counter))
-        keyed = outer.copy()
-        keyed.update(block.digest())
-        blocks.append(keyed.digest())
-    return b"".join(blocks)[:length]
+    if not 0 <= length <= _MAX_KEYSTREAM:
+        raise ValueError(f"keystream length must be 0 to {_MAX_KEYSTREAM} "
+                         f"bytes, got {length}")
+    first = hmac.digest(key, nonce + bytes(8), "sha256")
+    if length <= _BLOCK:
+        return first[:length]
+    return first + hashlib.pbkdf2_hmac("sha256", key, nonce + bytes(4), 1,
+                                       length - _BLOCK)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -129,15 +128,15 @@ class SharedKeyCipher:
         """Encrypt and authenticate ``plaintext`` (and bind ``associated_data``)."""
         nonce = self._next_nonce()
         body = _xor(plaintext, _keystream(self._enc_key, nonce, len(plaintext)))
-        tag = hmac.new(self._mac_key, nonce + associated_data + body,
-                       hashlib.sha256).digest()
+        tag = hmac.digest(self._mac_key, nonce + associated_data + body,
+                          "sha256")
         return Ciphertext(nonce, body, tag)
 
     def decrypt(self, ciphertext: Ciphertext, associated_data: bytes = b"") -> bytes:
         """Verify the tag then decrypt; raises IntegrityError on tamper."""
-        expected = hmac.new(self._mac_key,
-                            ciphertext.nonce + associated_data + ciphertext.body,
-                            hashlib.sha256).digest()
+        expected = hmac.digest(
+            self._mac_key,
+            ciphertext.nonce + associated_data + ciphertext.body, "sha256")
         if not hmac.compare_digest(expected, ciphertext.tag):
             raise IntegrityError("AEAD tag verification failed")
         return _xor(ciphertext.body,
@@ -146,7 +145,7 @@ class SharedKeyCipher:
 
 def compute_hmac(key: bytes, data: bytes) -> bytes:
     """Plain HMAC-SHA256, the integrity primitive Section IV-B1 recommends."""
-    return hmac.new(key, data, hashlib.sha256).digest()
+    return hmac.digest(key, data, "sha256")
 
 
 def verify_hmac(key: bytes, data: bytes, tag: bytes) -> bool:

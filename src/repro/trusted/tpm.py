@@ -8,7 +8,9 @@ Models the TPM operations the platform's root of trust relies on:
 * **quotes** — the PCR bank signed with a TPM-resident attestation key,
   bound to a verifier-chosen nonce to prevent replay;
 * **seal/unseal** — encrypting data so it can only be recovered when the
-  PCRs hold specified values.
+  PCRs hold specified values: one cipher per TPM seals everything, so no
+  two seals share a nonce, and each seal authenticates the digest of its
+  PCR values, so a changed PCR fails the tag.
 
 The attestation service appraises quotes against golden values; nothing in
 the trust logic depends on the TPM being hardware.
@@ -30,7 +32,7 @@ from ..crypto.rsa import (
     rsa_sign,
     rsa_verify,
 )
-from ..crypto.symmetric import Ciphertext, SharedKeyCipher, hkdf_expand
+from ..crypto.symmetric import Ciphertext, SharedKeyCipher
 
 PCR_COUNT = 24
 _ZERO = b"\x00" * 32
@@ -76,7 +78,7 @@ class Tpm:
         key_seed = None if seed is None else seed * 7919 + 13
         self._aik: RsaPrivateKey = generate_keypair(bits=1024, seed=key_seed)
         seal_seed = f"tpm-seal:{tpm_id}:{seed}".encode()
-        self._seal_key = hashlib.sha256(seal_seed).digest()
+        self._sealer = SharedKeyCipher(hashlib.sha256(seal_seed).digest())
 
     # -- PCR operations -------------------------------------------------------
 
@@ -121,10 +123,9 @@ class Tpm:
 
     def seal(self, data: bytes, pcr_indices: Tuple[int, ...]) -> bytes:
         """Encrypt data bound to the *current* values of the given PCRs."""
-        policy = self._pcr_policy(pcr_indices)
-        cipher = SharedKeyCipher(hkdf_expand(self._seal_key, policy))
         header = json.dumps(sorted(pcr_indices)).encode()
-        sealed = cipher.encrypt(data, associated_data=header)
+        sealed = self._sealer.encrypt(
+            data, associated_data=header + self._pcr_policy(pcr_indices))
         return len(header).to_bytes(4, "big") + header + sealed.to_bytes()
 
     def unseal(self, blob: bytes) -> bytes:
@@ -133,10 +134,10 @@ class Tpm:
         header = blob[4:4 + header_len]
         pcr_indices = tuple(json.loads(header.decode()))
         policy = self._pcr_policy(pcr_indices)
-        cipher = SharedKeyCipher(hkdf_expand(self._seal_key, policy))
         try:
-            return cipher.decrypt(Ciphertext.from_bytes(blob[4 + header_len:]),
-                                  associated_data=header)
+            return self._sealer.decrypt(
+                Ciphertext.from_bytes(blob[4 + header_len:]),
+                associated_data=header + policy)
         except IntegrityError:
             raise AttestationError(
                 "unseal failed: PCR state differs from seal-time policy"

@@ -16,6 +16,7 @@ from repro.analytics.similarity import (
     DiseaseSimilarityBuilder,
     DrugSimilarityBuilder,
 )
+from repro.crypto.merkle import root_from_path
 from repro.crypto.rsa import generate_keypair
 from repro.knowledge.synthetic import generate_universe
 from repro.workloads.emr import generate_emr_cohort
@@ -83,11 +84,19 @@ def clean_emr_cohort():
                                seed=21, confounders=False)
 
 
+def endorsement_verifies(msp, tx, endorsement):
+    """Whether one endorsement of ``tx`` holds on its own: the visit root
+    recomputed from the transaction's payload and the endorsement's
+    path, then the member's signature on that root."""
+    root = root_from_path(tx.payload(), endorsement.path)
+    return msp.verify(endorsement.member_id, root, endorsement.signature)
+
+
 def _per_signature_validate(peer, tx, policy):
     """Whether ``peer`` admits ``tx`` checking each endorsement alone: the
     reference that ``Peer.commit_block``'s batch screening must agree with."""
-    for member_id, signature in tx.endorsements:
-        if not peer._msp.verify(member_id, tx.payload(), signature):
+    for endorsement in tx.endorsements:
+        if not endorsement_verifies(peer._msp, tx, endorsement):
             return False
     return peer._policy_admits(tx, policy)
 

@@ -114,7 +114,7 @@ class TestKeysOnFirstUse:
         ledger = platform.blockchain.peers[0].ledger
         assert ledger.height >= 1
         signers = {member_id for tx in ledger.transactions()
-                   for member_id, _ in tx.endorsements}
+                   for member_id, _, _ in tx.endorsements}
         assert signers
         assert sorted(keygens) == sorted(_key_seed(7, member_id)
                                          for member_id in signers)

@@ -7,6 +7,7 @@ import pytest
 from repro.blockchain import standard_network
 from repro.blockchain.identity import MembershipServiceProvider
 from repro.blockchain.chaincode import ProvenanceContract
+from repro.blockchain.ledger import Endorsement
 from repro.blockchain.network import (
     ORGANIZATIONS,
     BlockchainNetwork,
@@ -16,6 +17,8 @@ from repro.blockchain.network import (
 )
 from repro.cloudsim.faults import FaultPlan
 from repro.core.errors import EndorsementError, LedgerError
+from repro.crypto.merkle import root_from_path
+from repro.crypto.rsa import RsaPrivateKey
 from tests.conftest import one_leaf_batch
 
 
@@ -52,7 +55,7 @@ class TestTransactionFlow:
         # The client stops as soon as the policy holds.
         assert len(tx.endorsements) == network.policy.min_endorsements
         orgs = {network.msp.identity(member_id).organization
-                for member_id, _ in tx.endorsements}
+                for member_id, _, _ in tx.endorsements}
         assert len(orgs) == network.policy.min_organizations
 
     def test_flush_commits_to_all_peers(self, network):
@@ -116,8 +119,8 @@ class TestTransactionFlow:
                                          event="received", actor="c"))
         # Replace all endorsement signatures with junk before ordering.
         forged = tx.with_endorsements(
-            [(peer_id, b"\x00" * len(sig))
-             for peer_id, sig in tx.endorsements])
+            [e._replace(signature=b"\x00" * len(e.signature))
+             for e in tx.endorsements])
         net.orderer._pending[-1] = forged
         net.flush()
         history = net.query("provenance", "get_history", handle="forge")
@@ -356,10 +359,10 @@ class TestBatchVerifiedCommit:
                                         event="received", actor="c"))
         # Tamper with one endorsement of one pending transaction.
         victim = net.orderer._pending[2]
-        member_id, sig = victim.endorsements[0]
-        bad = bytes([sig[0] ^ 0xFF]) + sig[1:]
+        first = victim.endorsements[0]
+        bad = bytes([first.signature[0] ^ 0xFF]) + first.signature[1:]
         net.orderer._pending[2] = dataclasses.replace(
-            victim, endorsements=((member_id, bad),)
+            victim, endorsements=(first._replace(signature=bad),)
             + victim.endorsements[1:])
         reference = [reference_validate(net.peers[0], tx, net.policy)
                      for tx in net.orderer._pending]
@@ -369,6 +372,88 @@ class TestBatchVerifiedCommit:
                                     handle=f"bv{i}")) for i in range(4)]
         assert committed == reference
         assert net.peers_converged()
+
+
+class TestVisitSignature:
+    """A visited peer signs the Merkle root of what it endorsed, once."""
+
+    @staticmethod
+    def _requests(n, prefix="visit"):
+        return [("provenance", "record_batch",
+                 one_leaf_batch(handle=f"{prefix}-{i}", data_hash="aa" * 32,
+                                event="received", actor="c"))
+                for i in range(n)]
+
+    @staticmethod
+    def _commit_agrees_with_reference(net, reference_validate):
+        """Flush, and return per pending tx whether it committed, after
+        checking that this is what the per-endorsement reference says."""
+        pending = list(net.orderer._pending)
+        reference = [[reference_validate(peer, tx, net.policy)
+                      for peer in net.peers] for tx in pending]
+        assert all(len(set(verdicts)) == 1 for verdicts in reference)
+        net.flush()
+        committed = [bool(net.query("provenance", "get_history",
+                                    handle=tx.args["events"][0]["handle"]))
+                     for tx in pending]
+        assert committed == [verdicts[0] for verdicts in reference]
+        assert net.peers_converged()
+        return committed
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_one_private_op_per_endorsing_peer(self, monkeypatch, k):
+        net = standard_network(seed=3)
+        signing_keys = []
+        private_op = RsaPrivateKey.private_op
+
+        def counted(key, value, use_crt=True):
+            signing_keys.append(key)
+            return private_op(key, value, use_crt)
+
+        monkeypatch.setattr(RsaPrivateKey, "private_op", counted)
+        txs = net.submit_batch("ingestion-service", self._requests(k))
+        assert len(signing_keys) == net.policy.min_endorsements
+        assert len(set(signing_keys)) == net.policy.min_endorsements
+        for tx in txs:
+            assert [e.signature for e in tx.endorsements] == [
+                e.signature for e in txs[0].endorsements]
+        net.flush()
+        assert len(net.peers[0].ledger.transactions()) == k
+        assert net.peers_converged()
+
+    @pytest.mark.parametrize("alteration", ["sibling", "side", "shorter"])
+    def test_an_altered_path_fails_like_a_forged_signature(
+            self, reference_validate, alteration):
+        net = standard_network(seed=31, batch_size=8)
+        net.submit_batch("ingestion-service", self._requests(4, "path"))
+        victim = net.orderer._pending[2]
+        first = victim.endorsements[0]
+        (sibling, is_left), *rest = first.path
+        path = {"sibling": ((bytes([sibling[0] ^ 1]) + sibling[1:],
+                             is_left), *rest),
+                "side": ((sibling, not is_left), *rest),
+                "shorter": first.path[:-1]}[alteration]
+        net.orderer._pending[2] = victim.with_endorsements(
+            (first._replace(path=path),) + victim.endorsements[1:])
+        assert self._commit_agrees_with_reference(
+            net, reference_validate) == [True, True, False, True]
+
+    def test_an_endorsement_moved_outside_its_visit_fails(
+            self, reference_validate):
+        net = standard_network(seed=31, batch_size=8)
+        # Three batches of two: the first and third visit the same two
+        # peers (the rotation moves two places per batch of two).
+        for batch in range(3):
+            net.submit_batch("ingestion-service",
+                             self._requests(2, f"moved-{batch}"))
+        pending = net.orderer._pending
+        moved = pending[0].endorsements[0]
+        target = pending[4]
+        assert target.endorsements[0].member_id == moved.member_id
+        pending[4] = target.with_endorsements(
+            (moved,) + target.endorsements[1:])
+        assert self._commit_agrees_with_reference(
+            net, reference_validate) == [True, True, True, True, False, True]
 
 
 class TestEarlyStopEndorsement:
@@ -390,7 +475,7 @@ class TestEarlyStopEndorsement:
     @staticmethod
     def _orgs(net, tx):
         return [net.msp.identity(member_id).organization
-                for member_id, _ in tx.endorsements]
+                for member_id, _, _ in tx.endorsements]
 
     def test_quorum_of_two_from_two_organizations(self):
         net = standard_network(seed=3, batch_size=4)
@@ -473,7 +558,7 @@ class TestSingleSubmitIsABatchOfOne:
                                          event="received", actor="c"))
         assert net.clock.now == 3 * net.ENDORSE_LATENCY
         assert [net.msp.enrolment(member).organization
-                for member, _ in tx.endorsements] == [
+                for member, _, _ in tx.endorsements] == [
             "provider-org", "data-protection-org"]
 
     def test_an_unmeetable_policy_still_raises(self):
@@ -521,8 +606,9 @@ class TestCommitTimeCounting:
                         **one_leaf_batch(handle="non-peer",
                                          data_hash="aa" * 32, event="received",
                                          actor="c"))
+        root = root_from_path(tx.payload(), ())
         forged = tx.with_endorsements(
-            [(member_id, net.msp.sign_as(member_id, tx.payload()))
+            [Endorsement(member_id, net.msp.sign_as(member_id, root), ())
              for member_id in ("ingestion-service", "auditor")])
         net.orderer._pending[-1] = forged
         assert not any(reference_validate(peer, forged, net.policy)

@@ -20,7 +20,7 @@ from repro.cloudsim.clock import SimClock
 from repro.cloudsim.faults import FaultPlan
 from repro.cloudsim.tracing import Tracer
 from repro.core.errors import LedgerError
-from tests.conftest import one_leaf_batch
+from tests.conftest import endorsement_verifies, one_leaf_batch
 
 
 def _prov_request(i):
@@ -221,7 +221,7 @@ class TestConsortiumIdentity:
         net.ingest("ingestion-service", _keyed_requests(16), round_size=4)
         signers = {member_id for channel in net.channels
                    for tx in channel.peers[0].ledger.transactions()
-                   for member_id, _ in tx.endorsements}
+                   for member_id, _, _ in tx.endorsements}
         assert signers and signers <= set(self.PEER_MEMBERS)
         for member_id in (*self.PEER_MEMBERS, "ingestion-service",
                           "auditor"):
@@ -238,15 +238,16 @@ class TestConsortiumIdentity:
                                             event="received", actor="a"))
         assert source.peers[0].ledger.find_transaction(tx.tx_id) == tx
         assert tx.channel == "shard-00"
-        # The shards share keys, so the shard-00 signatures verify as
+        # The shards share keys, so the shard-00 endorsements verify as
         # they stand; only the peers' channel check keeps them off
         # shard-01.
-        assert all(net.msp.verify(member_id, tx.payload(), signature)
-                   for member_id, signature in tx.endorsements)
-        # Payloads cover the channel: rewriting it breaks every signature.
+        assert all(endorsement_verifies(net.msp, tx, endorsement)
+                   for endorsement in tx.endorsements)
+        # Payloads cover the channel: rewriting it changes the root each
+        # endorsement's path leads to, so no signature holds on it.
         forged = dataclasses.replace(tx, channel="shard-01")
-        assert not any(net.msp.verify(member_id, forged.payload(), signature)
-                       for member_id, signature in forged.endorsements)
+        assert not any(endorsement_verifies(net.msp, forged, endorsement)
+                       for endorsement in forged.endorsements)
         for replayed in (tx, forged):
             for peer in target.peers:
                 assert not reference_validate(peer, replayed, target.policy)
@@ -267,6 +268,34 @@ class TestConsortiumIdentity:
         assert target.query("provenance", "get_history", handle="h-own")
         assert target.peers_converged()
 
+
+    def test_shard_endorsement_does_not_replay_on_another_shard(
+            self, reference_validate):
+        net = ShardedBlockchainNetwork(2, seed=0)
+        source, target = net.channels
+
+        def request(handle):
+            return ("provenance", "record_batch",
+                    one_leaf_batch(handle=handle, data_hash="ab",
+                                   event="received", actor="a"))
+
+        (mine,) = source.submit_batch("ingestion-service",
+                                      [request("h-source")])
+        theirs = target.submit_batch("ingestion-service",
+                                     [request("h-target"), request("h-own")])
+        moved = mine.endorsements[0]
+        assert theirs[0].endorsements[0].member_id == moved.member_id
+        assert endorsement_verifies(net.msp, mine, moved)
+        target.orderer._pending[0] = theirs[0].with_endorsements(
+            (moved,) + theirs[0].endorsements[1:])
+        verdicts = [[reference_validate(peer, tx, target.policy)
+                     for tx in target.orderer._pending]
+                    for peer in target.peers]
+        assert verdicts == [[False, True]] * len(target.peers)
+        target.flush()
+        assert [bool(target.query("provenance", "get_history", handle=h))
+                for h in ("h-target", "h-own")] == [False, True]
+        assert target.peers_converged()
 
     def test_peer_of_another_channel_refused(self):
         # A late joiner built without the shard's name would append the

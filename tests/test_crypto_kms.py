@@ -14,6 +14,7 @@ from repro.core.errors import (
     NotFoundError,
 )
 from repro.crypto.kms import KeyManagementService, KeyState, KmsFleet
+from repro.crypto.symmetric import Ciphertext
 
 
 @pytest.fixture
@@ -87,6 +88,27 @@ class TestEnvelope:
         new = kms.generate_data_key(key_id, "svc")
         assert new.key_version == 2
         assert old.key_version == 1
+
+    def test_wraps_under_one_key_never_share_a_nonce(self):
+        kms = KeyManagementService("t", seed=3)
+        key_id = kms.create_key("phi")
+        keys = [kms.generate_data_key(key_id, "svc") for _ in range(3)]
+        kms.rotate_key(key_id)
+        keys += [kms.generate_data_key(key_id, "svc") for _ in range(2)]
+        wrapped = [Ciphertext.from_bytes(k.wrapped) for k in keys]
+        assert len({w.nonce for w in wrapped[:3]}) == 3
+        assert len({w.nonce for w in wrapped[3:]}) == 2
+        # A shared nonce would make the XOR of two wrapped bodies equal
+        # the XOR of the two data keys, so one key would reveal the other.
+        def xor(a, b):
+            return bytes(x ^ y for x, y in zip(a, b))
+
+        assert (xor(wrapped[0].body, wrapped[1].body)
+                != xor(keys[0].plaintext, keys[1].plaintext))
+        for key in keys:
+            assert kms.unwrap_data_key(key_id, key.wrapped, "svc",
+                                       key_version=key.key_version
+                                       ) == key.plaintext
 
     def test_missing_version_rejected(self, kms):
         key_id = kms.create_key("phi")

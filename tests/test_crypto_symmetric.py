@@ -5,16 +5,37 @@ import hmac
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import IntegrityError
 from repro.crypto.symmetric import (
     Ciphertext,
     SharedKeyCipher,
+    _keystream,
     compute_hmac,
     generate_key,
     hkdf_expand,
     verify_hmac,
 )
+
+
+def _reference_keystream(key, nonce, length):
+    """The block-at-a-time HMAC-CTR keystream: block i is HMAC(key,
+    nonce || i), one pair of SHA-256 states copied per block, as RFC
+    2104 defines HMAC for a key of at most one hash block."""
+    padded = key.ljust(64, b"\0")
+    inner = hashlib.sha256(bytes(byte ^ 0x36 for byte in padded))
+    inner.update(nonce)
+    outer = hashlib.sha256(bytes(byte ^ 0x5C for byte in padded))
+    blocks = []
+    for counter in range((length + 31) // 32):
+        block = inner.copy()
+        block.update(struct.pack(">q", counter))
+        keyed = outer.copy()
+        keyed.update(block.digest())
+        blocks.append(keyed.digest())
+    return b"".join(blocks)[:length]
 
 
 class TestKeys:
@@ -183,3 +204,27 @@ class TestKnownAnswers:
         assert hashlib.sha256(ciphertext).hexdigest() == digest
         assert cipher.decrypt(Ciphertext.from_bytes(ciphertext),
                               b"ad") == plaintext
+
+
+class TestKeystreamAgainstReference:
+    """The one-shot keystream equals the block loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(key=st.binary(max_size=64), nonce=st.binary(max_size=24),
+           length=st.integers(0, 12_345))
+    def test_matches_the_block_loop(self, key, nonce, length):
+        assert _keystream(key, nonce, length) == _reference_keystream(
+            key, nonce, length)
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 63, 64, 65,
+                                        1_500, 4_096, 12_345])
+    def test_matches_at_block_boundaries(self, length):
+        key, nonce = generate_key(34), bytes(range(16))
+        assert _keystream(key, nonce, length) == _reference_keystream(
+            key, nonce, length)
+
+    def test_refuses_a_length_the_block_counter_cannot_reach(self):
+        key, nonce = generate_key(34), bytes(16)
+        for length in (-1, (32 << 32) + 1):
+            with pytest.raises(ValueError, match="keystream length"):
+                _keystream(key, nonce, length)

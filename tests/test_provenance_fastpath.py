@@ -250,7 +250,7 @@ class TestSubmitBatch:
         for tx in txs:
             assert len(tx.endorsements) == network.policy.min_endorsements
             orgs = {network.msp.identity(member_id).organization
-                    for member_id, _ in tx.endorsements}
+                    for member_id, _, _ in tx.endorsements}
             assert len(orgs) == network.policy.min_organizations
         network.flush()
         assert network.peers_converged()
@@ -350,7 +350,7 @@ class TestPeersDoNotRepeatPureWork:
                                 "verify_batch")
         network.flush()
         endorsers = {member_id for tx in txs
-                     for member_id, _ in tx.endorsements}
+                     for member_id, _, _ in tx.endorsements}
         assert sorted(member_id for _, member_id, _ in checks) == sorted(
             endorsers)
         assert all(peer.ledger.height == 1 for peer in network.peers)
@@ -363,10 +363,10 @@ class TestPeersDoNotRepeatPureWork:
                             **one_leaf_batch(handle="forged",
                                              data_hash="aa" * 32,
                                              event="received", actor="c"))
-        (member_id, signature), other = tx.endorsements
-        flipped = bytes([signature[0] ^ 1]) + signature[1:]
+        first, other = tx.endorsements
+        flipped = bytes([first.signature[0] ^ 1]) + first.signature[1:]
         network.orderer._pending[-1] = tx.with_endorsements(
-            [(member_id, flipped), other])
+            [first._replace(signature=flipped), other])
         network.flush()
         assert all(peer.ledger.height == 1 for peer in network.peers)
         assert not any(peer.query("provenance", "get_history",

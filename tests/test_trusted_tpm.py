@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.errors import AttestationError
+from repro.crypto.symmetric import Ciphertext
 from repro.trusted.tpm import PCR_COUNT, Quote, Tpm, verify_quote
 
 
@@ -105,3 +106,18 @@ class TestSealedStorage:
         blob = tpm.seal(b"secret", (0,))
         tpm.extend(7, "other", OTHER)
         assert tpm.unseal(blob) == b"secret"
+
+    def test_seals_under_one_policy_never_share_a_nonce(self):
+        tpm = Tpm("t1", seed=4)
+        tpm.extend(0, "bios", MEASUREMENT)
+        secrets = [b"disk key one", b"disk key two", b"disk key 3"]
+        blobs = [tpm.seal(secret, (0,)) for secret in secrets]
+        blobs.append(tpm.seal(b"other policy", (0, 7)))
+
+        def nonce(blob):
+            header_len = int.from_bytes(blob[:4], "big")
+            return Ciphertext.from_bytes(blob[4 + header_len:]).nonce
+
+        assert len({nonce(blob) for blob in blobs}) == len(blobs)
+        assert [tpm.unseal(blob) for blob in blobs] == secrets + [
+            b"other policy"]

@@ -9,7 +9,8 @@ Every peer of every channel must end on the recorded chain tip and
 running transaction root.  Transaction payloads do not cover their
 endorsements, so the signatures on each ledger are pinned by a digest of
 their own: it changes with any signing member id, MSP seed or enrolment
-order.
+order, and with the transactions each endorser signed together on one
+visit (each endorsement signs its visit's Merkle root).
 
 A change to any constant here is a change to simulated output, and
 belongs in a commit that re-baselines the benchmarks.  The seeds are ones
@@ -33,26 +34,26 @@ GOLDEN = {
     "standard": (
         "eb791a960bbc5ef7aa911c62cf8781d5ce403f25de0ca7f69d2155984bd2f0de",
         "9451ad2799ebf20d8a64623e9fb0f644f3e8d66bb2ba12c66978641c9a4e46be",
-        "0caf9273745dec1f6c4823ddc971bfaa9f9518a9029ce68dabf1c85d69671391"),
+        "f6cee9551726dfa37a3ecf74f4d0964090db501207bdc35a51ddf4bb45a99d59"),
     "shard-00": (
         "d11ac884ac4ef0a4e2dc53e50bca6099f8d44859f18a673063dabfb6737fb06e",
         "ee0dffbfc7842b27ce9783646ec569c891964666b4855dddf155e72fab9ad6e2",
-        "f910ee182a0ff2178ceb0115bca727bbb8f458597308254ba5065be615fd9aa4"),
+        "eea7ebbe1d1ece010bf3da82ed788771ba7107a84670841d781940af23da67e0"),
     "shard-01": (
         "0e47ad2867632c9567e1c6658ec10115b879c4d33d135fd6f977926d9e7d79ec",
         "0aa68dc414e7588b24cab6ba85b80ac0d969ca2345bc3af16818c4890a4c4a69",
-        "07c9bb2633f30bdfc2d71071f4dd6858b3c385a83d6366b934c5e39200c892c5"),
+        "76021b0baef767f1ad490ffa86974d7082af4aa4d75bfd140bf279927b4eaa87"),
     "platform": (
         "221618de53454bed990c6186b4e7633b9553c1676574ab9c5dfe128b448cbf39",
         "4195419fc258c8af0aa3fd824168a369e0e1f7a7a3e6c16d42a98f5bb3cf75d1",
-        "1c90b890a8a4edc9c7e79d2adeb90502e1cff3643c5502d8016883e17607aefd"),
+        "4f7fc13c41a7a4af4a8d55a4430ab8d1aa098636c22a6f937134310276759664"),
 }
 
 
 def _signatures_digest(ledger) -> str:
     digest = hashlib.sha256()
     for tx in ledger.transactions():
-        for member_id, signature in tx.endorsements:
+        for member_id, signature, _ in tx.endorsements:
             digest.update(member_id.encode() + b"\0" + signature)
     return digest.hexdigest()
 

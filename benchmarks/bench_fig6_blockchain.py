@@ -98,30 +98,41 @@ def test_fig6_tamper_evidence(benchmark):
         view = AuditorView(network)
         assert view.verify_integrity()
 
-        # Admin-level tamper on one peer's stored block.
-        ledger = network.peers[0].ledger
-        block = ledger.block(0)
-        forged = dataclasses.replace(block.transactions[0],
-                                     args={"handle": "FORGED"})
-        ledger._blocks[0] = dataclasses.replace(
-            block, transactions=(forged,) + block.transactions[1:])
-        detected = False
-        try:
-            view.verify_integrity()
-        except LedgerError:
-            detected = True
+        def detects(peer, transactions):
+            """Whether the audit catches an admin-level tamper: ``peer``'s
+            stored block 0 holding ``transactions``.  The block is put
+            back afterwards."""
+            ledger = peer.ledger
+            block = ledger.block(0)
+            ledger._blocks[0] = dataclasses.replace(
+                block, transactions=transactions)
+            try:
+                view.verify_integrity()
+                return False
+            except LedgerError:
+                return True
+            finally:
+                ledger._blocks[0] = block
+
+        txs = network.peers[0].ledger.block(0).transactions
+        forged = dataclasses.replace(txs[0], args={"handle": "FORGED"})
+        detected = detects(network.peers[0], (forged,) + txs[1:])
+        repeat_detected = detects(network.peers[1], txs + txs[-1:])
 
         db = CentralizedProvenanceDb()
         db.record_event("h0", "aa" * 32, "received", "c")
         db.tamper("h0", 0, "FORGED")
         db_detected = not db.verify_integrity()
-        return detected, db_detected
+        return detected, repeat_detected, db_detected
 
-    detected, db_detected = benchmark.pedantic(run, rounds=1, iterations=1)
+    detected, repeat_detected, db_detected = benchmark.pedantic(
+        run, rounds=1, iterations=1)
     assert detected, "ledger must detect tampering"
+    assert repeat_detected, "ledger must detect a repeated transaction"
     assert not db_detected, "the centralized baseline has no tamper-evidence"
     show("E5: tamper-evidence", [
         f"ledger detects retroactive edit: {detected}",
+        f"ledger detects a repeated transaction: {repeat_detected}",
         f"centralized DB detects it: {db_detected}",
         "expected shape: ledger write >> DB write (endorsement RSA), "
         "only ledger is tamper-evident",

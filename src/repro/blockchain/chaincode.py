@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.canonical import canonical_json
 from ..core.errors import LedgerError, StudyError, ValidationError
-from ..crypto.merkle import IncrementalMerkleTree, MerkleTree
+from ..crypto.merkle import MerkleTree
 
 
 def provenance_event_leaf(event: Dict[str, Any]) -> bytes:
@@ -46,14 +46,15 @@ class ProvenanceBatch:
     """Provenance events growing into one ``record_batch`` request.
 
     The one way to write provenance, one event or many: each appended
-    event's leaf is hashed into an incremental Merkle tree as it
-    arrives, so sealing reads the root in O(log n) instead of rebuilding
-    the tree (the roots are identical by construction).
+    event's leaf is hashed into the batch's Merkle tree as it arrives,
+    so sealing folds the tree's peaks instead of rehashing every leaf.
+    Endorsers rebuild the same :class:`MerkleTree` from the events
+    (:meth:`ProvenanceContract.check_record_batch`).
     """
 
     def __init__(self) -> None:
         self.events: List[Dict[str, Any]] = []
-        self._tree = IncrementalMerkleTree()
+        self._tree = MerkleTree()
 
     def __len__(self) -> int:
         return len(self.events)

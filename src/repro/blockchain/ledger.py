@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..core.canonical import canonical_json
 from ..core.errors import LedgerError
-from ..crypto.merkle import IncrementalMerkleTree, MerkleTree
+from ..crypto.merkle import MerkleTree
 
 
 class Endorsement(NamedTuple):
@@ -143,10 +143,10 @@ class Ledger:
     def __init__(self) -> None:
         self._blocks: List[Block] = []
         # Running Merkle tree over every committed transaction payload,
-        # extended incrementally at append — a chain-wide commitment
-        # (certificate-transparency style) that high-rate ingestion can
-        # grow in O(log n) per transaction instead of rebuilding.
-        self._running = IncrementalMerkleTree()
+        # extended at append: a chain-wide commitment in the shape of a
+        # certificate-transparency log (RFC 9162).  It keeps every
+        # complete subtree, about two hashes per transaction.
+        self._running = MerkleTree()
 
     @property
     def height(self) -> int:
@@ -158,7 +158,7 @@ class Ledger:
 
     @property
     def running_tx_root(self) -> Optional[str]:
-        """Incremental Merkle root over all committed transaction
+        """Merkle root (RFC 9162's MTH) over all committed transaction
         payloads, in commit order; ``None`` while the chain is empty."""
         if self._running.leaf_count == 0:
             return None

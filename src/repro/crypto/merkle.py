@@ -3,8 +3,9 @@
 Used two ways in the platform: (i) as the baseline integrity scheme the
 paper says *leaks* structural information when records are shared in parts
 (Section IV-B1), against which the leakage-free redactable scheme is
-compared; (ii) inside the blockchain package to commit a block's
-transaction set.
+compared; (ii) inside the blockchain package, for every root it commits
+to: a block's transaction set, a provenance batch's events, the payloads
+a peer signs on one visit, and the ledger's running root.
 """
 
 from __future__ import annotations
@@ -36,124 +37,97 @@ class MerkleProof:
 
 
 class MerkleTree:
-    """Binary Merkle tree over a sequence of byte-string leaves."""
+    """Append-only Merkle tree in the shape of RFC 9162 §2.1.1.
 
-    def __init__(self, leaves: Sequence[bytes]) -> None:
-        if not leaves:
-            raise ValueError("Merkle tree needs at least one leaf")
-        self._leaves = [bytes(leaf) for leaf in leaves]
-        self._levels: List[List[bytes]] = [[_leaf_hash(l) for l in self._leaves]]
-        while len(self._levels[-1]) > 1:
-            current = self._levels[-1]
-            next_level = []
-            for i in range(0, len(current), 2):
-                left = current[i]
-                right = current[i + 1] if i + 1 < len(current) else current[i]
-                next_level.append(_node_hash(left, right))
-            self._levels.append(next_level)
-
-    @property
-    def root(self) -> bytes:
-        return self._levels[-1][0]
-
-    @property
-    def root_hex(self) -> str:
-        return self.root.hex()
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self._leaves)
-
-    def proofs(self) -> List[MerkleProof]:
-        """Authentication paths for every leaf, sharing the built levels.
-
-        Batch submitters (e.g. Merkle-batched provenance transactions) need
-        a proof per event; generating them in one pass over the cached
-        levels avoids rebuilding per-leaf state.
-        """
-        return [self.proof(i) for i in range(len(self._leaves))]
-
-    def proof(self, index: int) -> MerkleProof:
-        """Authentication path for leaf ``index``."""
-        if not 0 <= index < len(self._leaves):
-            raise IndexError(f"leaf index {index} out of range")
-        path: List[Tuple[bytes, bool]] = []
-        i = index
-        for level in self._levels[:-1]:
-            sibling = i ^ 1
-            if sibling >= len(level):
-                sibling = i  # odd node duplicated
-            path.append((level[sibling], sibling < i))
-            i //= 2
-        return MerkleProof(index, tuple(path))
-
-
-class IncrementalMerkleTree:
-    """Append-only Merkle tree whose root matches :class:`MerkleTree`.
-
-    Keeps one *peak* per power of two of the leaf count (a Merkle
-    mountain range): ``append`` merges carry peaks like binary addition,
-    O(log n) amortized, and ``root`` folds the peaks lowest-to-highest,
-    self-pairing odd nodes at every level exactly as :class:`MerkleTree`
-    does — so for any leaf sequence the incremental root equals
-    ``MerkleTree(leaves).root``.  High-rate writers (consecutive
-    ingestion flushes, the ledger's running transaction root) extend a
-    running tree instead of rebuilding the whole tree per flush.
+    A tree of n > 1 leaves splits at the largest power of two below n,
+    and no node is paired with itself, so a leaf list and the same list
+    with its last leaf repeated have different roots.  ``_levels[k]``
+    holds the hash of each complete subtree of 2**k leaves, left to
+    right (about two hashes per leaf); the last entry of each level of
+    odd length is a *peak*, one per set bit of the leaf count.
     """
 
-    __slots__ = ("_peaks", "_count")
+    __slots__ = ("_levels",)
 
     def __init__(self, leaves: Sequence[bytes] = ()) -> None:
-        # (height, node_hash) pairs, strictly descending height.
-        self._peaks: List[Tuple[int, bytes]] = []
-        self._count = 0
-        for leaf in leaves:
-            self.append(leaf)
+        self._levels: List[List[bytes]] = [[]]
+        self.extend(leaves)
 
     @property
     def leaf_count(self) -> int:
-        return self._count
+        return len(self._levels[0])
 
     def append(self, leaf: bytes) -> int:
-        """Absorb one leaf; returns its index."""
-        node = _leaf_hash(bytes(leaf))
+        """Hash one leaf plus the subtrees it completes; returns its
+        index."""
+        levels = self._levels
+        level = levels[0]
+        level.append(_leaf_hash(bytes(leaf)))
         height = 0
-        while self._peaks and self._peaks[-1][0] == height:
-            _, sibling = self._peaks.pop()
-            node = _node_hash(sibling, node)
+        while len(level) % 2 == 0:
             height += 1
-        self._peaks.append((height, node))
-        self._count += 1
-        return self._count - 1
+            if height == len(levels):
+                levels.append([])
+            levels[height].append(_node_hash(level[-2], level[-1]))
+            level = levels[height]
+        return len(levels[0]) - 1
 
     def extend(self, leaves: Sequence[bytes]) -> int:
         """Absorb many leaves; returns the new leaf count."""
         for leaf in leaves:
             self.append(leaf)
-        return self._count
+        return self.leaf_count
+
+    def _fold_peaks(self) -> Tuple[List[bytes], List[bytes]]:
+        """The complete subtrees the leaves split into, largest first,
+        and ``folds[j]``, the root over ``peaks[j:]`` folded smallest
+        first (``folds[0]`` is the tree's root)."""
+        peaks = [level[-1] for level in reversed(self._levels)
+                 if len(level) % 2]
+        folds = peaks[-1:]
+        for peak in reversed(peaks[:-1]):
+            folds.insert(0, _node_hash(peak, folds[0]))
+        return peaks, folds
 
     @property
     def root(self) -> bytes:
-        """Fold the peaks into the :class:`MerkleTree`-equivalent root.
-
-        The lowest peak is raised by self-pairing until it reaches the
-        next peak's height (the duplicate-the-odd-node rule applied once
-        per level), then combined; repeated up to the highest peak.
-        """
-        if not self._peaks:
-            raise ValueError("Merkle tree needs at least one leaf")
-        height, node = self._peaks[-1]
-        for peak_height, peak in reversed(self._peaks[:-1]):
-            while height < peak_height:
-                node = _node_hash(node, node)
-                height += 1
-            node = _node_hash(peak, node)
-            height = peak_height + 1
-        return node
+        if not self._levels[0]:
+            raise ValueError("an empty Merkle tree has no root")
+        return self._fold_peaks()[1][0]
 
     @property
     def root_hex(self) -> str:
         return self.root.hex()
+
+    def proofs(self) -> List[MerkleProof]:
+        """Authentication paths for every leaf, folding the peaks once
+        (a visit signature hands one to each transaction it covers)."""
+        peaks, folds = self._fold_peaks()
+        return [self._proof(i, peaks, folds) for i in range(self.leaf_count)]
+
+    def proof(self, index: int) -> MerkleProof:
+        """Authentication path for leaf ``index``: the siblings inside
+        its peak, then the fold of the smaller peaks, then each larger
+        peak."""
+        if not 0 <= index < self.leaf_count:
+            raise IndexError(f"leaf index {index} out of range")
+        return self._proof(index, *self._fold_peaks())
+
+    def _proof(self, index: int, peaks: List[bytes],
+               folds: List[bytes]) -> MerkleProof:
+        # The leaf's peak has the height of the highest bit in which
+        # ``index`` differs from the leaf count; the count's set bits
+        # above it are the larger peaks.
+        levels = self._levels
+        count = len(levels[0])
+        height = (count ^ index).bit_length() - 1
+        larger = bin(count >> (height + 1)).count("1")
+        path = [(levels[level][(index >> level) ^ 1],
+                 bool((index >> level) & 1)) for level in range(height)]
+        if larger + 1 < len(peaks):
+            path.append((folds[larger + 1], False))
+        path += [(peak, True) for peak in reversed(peaks[:larger])]
+        return MerkleProof(index, tuple(path))
 
 
 def root_from_path(leaf_data: bytes,

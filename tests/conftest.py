@@ -6,8 +6,9 @@ cohort, RSA keypairs) are session-scoped so the suite stays fast.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 import pytest
 
@@ -39,6 +40,17 @@ def one_leaf_batch(batch_id: Optional[str] = None,
     _, _, args = batch.request(
         batch_id or f"test-batch-{next(_BATCH_IDS):06d}")
     return args
+
+
+def rfc9162_root(leaves: Sequence[bytes]) -> bytes:
+    """RFC 9162 §2.1.1's Merkle Tree Hash, written recursively as the RFC
+    states it: the reference the append-only ``MerkleTree`` must match.
+    A tree of n > 1 leaves splits at the largest power of two below n."""
+    if len(leaves) == 1:
+        return hashlib.sha256(b"\x00" + leaves[0]).digest()
+    k = 1 << ((len(leaves) - 1).bit_length() - 1)
+    return hashlib.sha256(b"\x01" + rfc9162_root(leaves[:k])
+                          + rfc9162_root(leaves[k:])).digest()
 
 
 @pytest.fixture(scope="session")

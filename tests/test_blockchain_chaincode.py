@@ -6,6 +6,7 @@ from repro.blockchain.chaincode import (
     ConsentContract,
     MalwareContract,
     PrivacyContract,
+    ProvenanceBatch,
     ProvenanceContract,
     WorldState,
 )
@@ -72,6 +73,20 @@ class TestProvenanceContract:
     def test_unknown_method(self, state):
         with pytest.raises(LedgerError):
             ProvenanceContract().invoke(state, "explode", {})
+
+    def test_batch_repeating_its_last_event_rejected(self):
+        """A 3-event batch's events plus its last event repeated do not
+        hash to the honest root."""
+        batch = ProvenanceBatch()
+        for i in range(3):
+            batch.append(handle=f"h{i}", data_hash="aa", event="received",
+                         actor="svc")
+        _, _, args = batch.request("repeat")
+        contract = ProvenanceContract()
+        contract.check_record_batch(**args)
+        with pytest.raises(ValidationError):
+            contract.check_record_batch(
+                **{**args, "events": args["events"] + args["events"][-1:]})
 
 
 class TestConsentContract:

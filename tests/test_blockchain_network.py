@@ -148,6 +148,33 @@ class TestCommitOrder:
         assert peer.commit_block(block, net.policy) == 1
         assert peer.query("provenance", "get_history", handle="h1")
 
+    def test_a_block_repeating_its_last_transaction_is_refused(self):
+        """A copy of a 3-transaction block with its last transaction
+        repeated does not keep the block's Merkle root (no node is paired
+        with itself), so a peer syncing from a source that serves it
+        refuses it before applying anything."""
+        import dataclasses
+
+        net = standard_network(seed=5, batch_size=3)
+        for i in range(3):
+            net.submit("ingestion-service", "provenance", "record_batch",
+                       **one_leaf_batch(handle=f"r{i}", data_hash="aa" * 32,
+                                        event="received", actor="c"))
+        net.flush()
+        source = net.peers[-1]
+        block = source.ledger.block(0)
+        assert len(block.transactions) == 3
+        source.ledger._blocks[0] = dataclasses.replace(
+            block, transactions=block.transactions + block.transactions[-1:])
+        net.msp.enroll("peer.repeat-org", "repeat-org", roles={"peer"})
+        fresh = Peer("peer.repeat-org", "repeat-org", net.msp,
+                     {"provenance": ProvenanceContract()})
+        with pytest.raises(LedgerError,
+                           match="Merkle root mismatch at height 0"):
+            fresh.sync_from(source, net.policy)
+        assert fresh.ledger.height == 0
+        assert fresh.query("provenance", "get_history", handle="r2") == []
+
 
 class TestEndorserFailure:
     def test_one_failing_endorser_tolerated(self):

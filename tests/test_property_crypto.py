@@ -13,6 +13,7 @@ from repro.crypto.redactable import (
 )
 from repro.crypto.rsa import generate_keypair, rsa_decrypt, rsa_encrypt, rsa_sign
 from repro.crypto.symmetric import Ciphertext, SharedKeyCipher, generate_key
+from tests.conftest import rfc9162_root
 
 KEYPAIR = generate_keypair(bits=768, seed=4242)
 # Every modulus size the repo actually uses (conftest fixtures: 512/1024;
@@ -99,13 +100,29 @@ class TestCrtRsaProperties:
 
 
 class TestMerkleProperties:
-    @given(leaves=st.lists(st.binary(max_size=64), min_size=1, max_size=40),
-           index=st.integers(0, 1000))
+    @given(leaves=st.lists(st.binary(max_size=16), min_size=1, max_size=100))
     @_NO_DEADLINE
-    def test_every_leaf_provable(self, leaves, index):
+    def test_append_roots_match_reference(self, leaves):
+        tree = MerkleTree()
+        for n, leaf in enumerate(leaves, start=1):
+            tree.append(leaf)
+            assert tree.root == rfc9162_root(leaves[:n]), n
+            assert tree.root == MerkleTree(leaves[:n]).root, n
+
+    @given(leaves=st.lists(st.binary(max_size=64), min_size=1, max_size=100))
+    @_NO_DEADLINE
+    def test_every_leaf_provable(self, leaves):
         tree = MerkleTree(leaves)
-        i = index % len(leaves)
-        assert verify_proof(tree.root, leaves[i], tree.proof(i))
+        for i, leaf in enumerate(leaves):
+            assert verify_proof(tree.root, leaf, tree.proof(i))
+            assert not verify_proof(tree.root, leaf + b"!", tree.proof(i))
+
+    @given(leaves=st.lists(st.binary(max_size=32), min_size=1, max_size=100))
+    @example(leaves=[b"a", b"b", b"c"])
+    @_NO_DEADLINE
+    def test_repeated_last_leaf_changes_root(self, leaves):
+        assert (MerkleTree(leaves).root
+                != MerkleTree(leaves + leaves[-1:]).root)
 
     @given(leaves=st.lists(st.binary(max_size=32), min_size=2, max_size=20,
                            unique=True),

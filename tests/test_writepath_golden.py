@@ -33,8 +33,8 @@ from tests.conftest import one_leaf_batch
 GOLDEN = {
     "standard": (
         "eb791a960bbc5ef7aa911c62cf8781d5ce403f25de0ca7f69d2155984bd2f0de",
-        "9451ad2799ebf20d8a64623e9fb0f644f3e8d66bb2ba12c66978641c9a4e46be",
-        "f6cee9551726dfa37a3ecf74f4d0964090db501207bdc35a51ddf4bb45a99d59"),
+        "853132b77ef3e033e2758666489434de34ffec17773105c64a95c0ba6cd37bf3",
+        "a7de066c2bc567acc35259f7a6717e6df99c3cd03f26a584038da96327371285"),
     "shard-00": (
         "d11ac884ac4ef0a4e2dc53e50bca6099f8d44859f18a673063dabfb6737fb06e",
         "ee0dffbfc7842b27ce9783646ec569c891964666b4855dddf155e72fab9ad6e2",
@@ -44,9 +44,9 @@ GOLDEN = {
         "0aa68dc414e7588b24cab6ba85b80ac0d969ca2345bc3af16818c4890a4c4a69",
         "76021b0baef767f1ad490ffa86974d7082af4aa4d75bfd140bf279927b4eaa87"),
     "platform": (
-        "221618de53454bed990c6186b4e7633b9553c1676574ab9c5dfe128b448cbf39",
-        "4195419fc258c8af0aa3fd824168a369e0e1f7a7a3e6c16d42a98f5bb3cf75d1",
-        "4f7fc13c41a7a4af4a8d55a4430ab8d1aa098636c22a6f937134310276759664"),
+        "a908cd159585299b2ef5c7e479bf82c1c7945673f235d016d1b9106c4c931b28",
+        "ae7f2bf31ab8c79433eb2f7326dc5ab8b9c1411bcda693e309414cc756cc6851",
+        "635c3190a381f493e0cff957579d6ea71277bfb2bc21165c4b73ec556080bf3e"),
 }
 
 
